@@ -12,7 +12,7 @@
    changes with MAC_JOBS. Alongside the human-readable sections the
    harness writes BENCH_sim.json, a machine-readable record of every
    TAB2/TAB3/TAB4/SCHED/FULL cell plus the sweep's wall-clock and the
-   measured serial-reference vs parallel-fast speedup.
+   measured serial-reference vs parallel-jit speedup.
 
    Environment:
      MAC_SIZE   image edge length (default 500, the paper's size)
@@ -23,7 +23,7 @@
 open Mac_rtl
 module W = Mac_workloads.Workloads
 module Tables = Mac_workloads.Tables
-module Pool = Mac_workloads.Pool
+module Pool = Mac_parallel.Pool
 module Sweep = Mac_workloads.Sweep
 module Machine = Mac_machine.Machine
 module Pipeline = Mac_vpo.Pipeline
@@ -126,50 +126,41 @@ let sched_gate ~sched_rows ~tab3_rows =
 
 (* ------------------------------------------------------------------ *)
 (* SPEEDUP: the Table II sweep under each engine, serially, vs the
-   domain-parallel pre-decoded run. All engines produce the same rows
-   (the equivalence tests pin them to each other); only the clock
-   differs. The fast-vs-jit ratio at jobs=1 is the superblock closure
-   compilation payoff. *)
+   domain-parallel jit run. Both engines produce the same rows (the
+   equivalence tests pin them to each other); only the clock differs. *)
 
-let speedup_tab2 parallel_fast_seconds =
+let speedup_tab2 parallel_jit_seconds =
   section "SPEEDUP"
-    "Table II sweep: serial reference vs serial fast vs serial jit vs \
-     parallel fast";
+    "Table II sweep: serial reference vs serial jit vs parallel jit";
   let serial engine =
     let t0 = now () in
     ignore (Tables.table ~size ~jobs:1 ~engine ~machine:Machine.alpha ());
     now () -. t0
   in
   let serial_reference = serial `Reference in
-  let serial_fast = serial `Fast in
   let serial_jit = serial `Jit in
   let ratio =
-    if parallel_fast_seconds > 0.0 then
-      serial_reference /. parallel_fast_seconds
+    if parallel_jit_seconds > 0.0 then
+      serial_reference /. parallel_jit_seconds
     else 0.0
   in
-  let jit_ratio = if serial_jit > 0.0 then serial_fast /. serial_jit else 0.0 in
-  Fmt.pr
-    "28 cells at size %d, jobs=1: reference %.2fs, fast %.2fs, jit %.2fs \
-     (fast/jit = %.2fx)@."
-    size serial_reference serial_fast serial_jit jit_ratio;
-  Fmt.pr "parallel fast (%d job(s)): %.2fs -> %.1fx over serial reference@."
-    jobs parallel_fast_seconds ratio;
+  Fmt.pr "28 cells at size %d, jobs=1: reference %.2fs, jit %.2fs@." size
+    serial_reference serial_jit;
+  Fmt.pr "parallel jit (%d job(s)): %.2fs -> %.1fx over serial reference@."
+    jobs parallel_jit_seconds ratio;
   {
     Sweep.serial_reference_seconds = serial_reference;
-    serial_fast_seconds = serial_fast;
     serial_jit_seconds = serial_jit;
-    parallel_fast_seconds;
+    parallel_jit_seconds;
     ratio;
-    jit_ratio;
   }
 
 (* ------------------------------------------------------------------ *)
 (* ENGINES: the cross-engine equivalence gate the JSON record rides on.
-   One Table II cell runs under all three engines and every metric must
-   agree bit for bit; then a deliberately trapping program must produce
-   the identical trap string on all three. A mismatch aborts the harness
-   (and therefore CI) before an invalid BENCH_sim.json can be written. *)
+   One Table II cell runs under both engines and every metric must agree
+   bit for bit; then a deliberately trapping program must produce the
+   identical trap string on both. A mismatch aborts the harness (and
+   therefore CI) before an invalid BENCH_sim.json can be written. *)
 
 let engines_check () =
   section "ENGINES" "cross-engine equivalence on one Table II cell";
@@ -179,11 +170,9 @@ let engines_check () =
       (fun engine ->
         W.run ~size:64 ~engine ~machine:Machine.alpha ~level:Pipeline.O4
           bench)
-      [ `Reference; `Fast; `Jit ]
+      [ `Reference; `Jit ]
   in
-  let r, f, j =
-    match outcomes with [ r; f; j ] -> (r, f, j) | _ -> assert false
-  in
+  let r, j = match outcomes with [ r; j ] -> (r, j) | _ -> assert false in
   let check name (o : W.outcome) =
     if not (Int64.equal o.W.value r.W.value) then
       failwith
@@ -200,7 +189,6 @@ let engines_check () =
       o.W.metrics.stores o.W.metrics.dcache_hits o.W.metrics.dcache_misses
   in
   check "reference" r;
-  check "fast" f;
   check "jit" j;
   (* trap fidelity: out-of-fuel fires mid-run with the same message *)
   let trap_of engine =
@@ -217,15 +205,11 @@ let engines_check () =
     | exception Mac_sim.Interp.Trap msg -> msg
   in
   let tr = trap_of `Reference in
-  List.iter
-    (fun (name, engine) ->
-      let t = trap_of engine in
-      if not (String.equal t tr) then
-        failwith
-          (Printf.sprintf "ENGINES: %s trap %S differs from reference %S"
-             name t tr))
-    [ ("fast", `Fast); ("jit", `Jit) ];
-  Fmt.pr "trap fidelity: all engines trap with %S@." tr
+  let tj = trap_of `Jit in
+  if not (String.equal tj tr) then
+    failwith
+      (Printf.sprintf "ENGINES: jit trap %S differs from reference %S" tj tr);
+  Fmt.pr "trap fidelity: both engines trap with %S@." tr
 
 (* ------------------------------------------------------------------ *)
 (* FIG5: the run-time alignment and alias dispatch. *)
@@ -591,9 +575,30 @@ let bechamel_benches () =
            let cfg = Pipeline.config ~level:Pipeline.O4 machine in
            ignore (Pipeline.compile_source cfg source)))
   in
-  let simulate_test name bench machine level =
+  (* Simulation alone: the program is compiled and its memory prepared
+     once, outside the timed closure. The kernels write only their output
+     regions, so restoring those before each run starts every run from
+     the freshly prepared image. *)
+  let simulate_test ?engine name (bench : W.t) machine level =
+    let cfg = Pipeline.config ~level machine in
+    let compiled = Pipeline.compile_source cfg bench.source in
+    (* the image size W.run allocates at size 24 *)
+    let mem = Mac_sim.Memory.create ~size:(1 lsl 17) in
+    let inst = bench.prepare W.default_layout ~size:24 mem in
+    let pristine =
+      List.map
+        (fun (_, addr, len) ->
+          (addr, Mac_sim.Memory.load_bytes mem ~addr ~len))
+        inst.W.outputs
+    in
     Test.make ~name
-      (Staged.stage (fun () -> ignore (W.run ~size:24 ~machine ~level bench)))
+      (Staged.stage (fun () ->
+           List.iter
+             (fun (addr, b) -> Mac_sim.Memory.store_bytes mem ~addr b)
+             pristine;
+           ignore
+             (Mac_sim.Interp.run ~machine ~memory:mem compiled.funcs
+                ~entry:bench.entry ~args:inst.W.args ?engine ())))
   in
   let image_add_src = (Option.get (W.find "image_add")).W.source in
   let verify_test name source verify =
@@ -602,15 +607,12 @@ let bechamel_benches () =
            let cfg = Pipeline.config ~level:Pipeline.O4 ~verify Machine.alpha in
            ignore (Pipeline.compile_source cfg source)))
   in
-  (* engine microbenchmark: the same simulation on both engines — the
-     per-instruction win of pre-decoding, isolated from parallelism *)
+  (* engine microbenchmark: the same simulation on both engines, with
+     the compile outside the timed region *)
   let engine_test name engine =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           ignore
-             (W.run ~size:24 ~engine ~machine:Machine.alpha
-                ~level:Pipeline.O4
-                (Option.get (W.find "image_add")))))
+    simulate_test ~engine name
+      (Option.get (W.find "image_add"))
+      Machine.alpha Pipeline.O4
   in
   let tests =
     Test.make_grouped ~name:"mac"
@@ -629,7 +631,6 @@ let bechamel_benches () =
           ];
         Test.make_grouped ~name:"engine"
           [
-            engine_test "image_add/fast" `Fast;
             engine_test "image_add/reference" `Reference;
             engine_test "image_add/jit" `Jit;
           ];
@@ -722,7 +723,7 @@ let () =
   let json =
     Sweep.to_json ~size ~jobs_requested:jobs
       ~jobs_effective:(Pool.effective_jobs ~jobs 28)
-      ~engine:"fast" ~wall_seconds:wall ~speedup cells
+      ~engine:"jit" ~wall_seconds:wall ~speedup cells
   in
   (match Sweep.validate json with
   | Ok n ->

@@ -123,26 +123,24 @@ let remainder_arg =
 let engine_conv =
   let parse s =
     match String.lowercase_ascii s with
-    | "fast" -> Ok `Fast
     | "reference" | "ref" -> Ok `Reference
     | "jit" -> Ok `Jit
     | _ ->
       Error
-        (`Msg (Printf.sprintf "unknown engine %S (fast|reference|jit)" s))
+        (`Msg (Printf.sprintf "unknown engine %S (reference|jit)" s))
   in
   Arg.conv
     ( parse,
       fun ppf e ->
         Fmt.string ppf
           (match e with
-          | `Fast -> "fast"
           | `Reference -> "reference"
           | `Jit -> "jit") )
 
 let engine_arg =
-  Arg.(value & opt engine_conv `Fast
+  Arg.(value & opt engine_conv `Jit
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Simulator engine: $(b,fast) (pre-decoded, the default),                  $(b,reference) (the original tree-walking evaluator the                  other engines are pinned against) or $(b,jit)                  (superblock closure compilation: fused superinstructions,                  inlined cache fast path, per-leader block cache).")
+           ~doc:"Simulator engine: $(b,jit) (the default: superblock                  closure compilation over the pre-decoded program, with                  fused superinstructions, an inlined cache fast path and a                  per-leader block cache) or $(b,reference) (the original                  tree-walking evaluator the jit is pinned against).")
 
 let jobs_arg =
   Arg.(value & opt (some int) None

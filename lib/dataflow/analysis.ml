@@ -40,7 +40,6 @@ type tvalid_cache = ..
 
 type t = {
   func : Func.t;
-  engine : Dataflow.engine;
   mutable cfg : Cfg.t option;
   mutable dom : Dom.t option;
   mutable loops : Loop.t list option;
@@ -66,10 +65,9 @@ type t = {
   mutable misses : int;
 }
 
-let create ?(engine = `Bitvec) func =
+let create func =
   {
     func;
-    engine;
     cfg = None;
     dom = None;
     loops = None;
@@ -83,7 +81,6 @@ let create ?(engine = `Bitvec) func =
   }
 
 let func t = t.func
-let engine t = t.engine
 
 let memo t get set compute =
   match get t with
@@ -122,21 +119,21 @@ let liveness t =
   memo t
     (fun t -> t.live)
     (fun t v -> t.live <- v)
-    (fun () -> Liveness.compute ~engine:t.engine c)
+    (fun () -> Liveness.compute c)
 
 let reaching t =
   let c = cfg t in
   memo t
     (fun t -> t.reach)
     (fun t v -> t.reach <- v)
-    (fun () -> Reaching.compute ~engine:t.engine c)
+    (fun () -> Reaching.compute c)
 
 let copies t =
   let c = cfg t in
   memo t
     (fun t -> t.copies)
     (fun t v -> t.copies <- v)
-    (fun () -> Copies.compute ~engine:t.engine c)
+    (fun () -> Copies.compute c)
 
 let reuse t ~key ~compute =
   let tbl =

@@ -32,12 +32,10 @@ type tvalid_cache = ..
 
 type t
 
-val create : ?engine:Dataflow.engine -> Func.t -> t
-(** A fresh manager with nothing computed. [engine] selects the dataflow
-    solver for {!liveness}/{!reaching}/{!copies} (default [`Bitvec]). *)
+val create : Func.t -> t
+(** A fresh manager with nothing computed. *)
 
 val func : t -> Func.t
-val engine : t -> Dataflow.engine
 
 val cfg : t -> Mac_cfg.Cfg.t
 val dom : t -> Mac_cfg.Dom.t

@@ -1,62 +1,26 @@
 open Mac_rtl
 
 (* The lattice element is Top (unreached: all copies hold vacuously) or a
-   finite map dst -> operand. Meet is map intersection on agreeing
+   finite map dst -> operand; meet is map intersection on agreeing
    entries.
 
-   The bitvector engine numbers the distinct copy *facts* — each
-   [(dst, src)] pair some qualifying Move establishes — and runs the
-   must-variant of the packed gen/kill solver (Top = the solver's [None],
-   meet = intersection). A fact is killed by any definition of its
-   destination or source register. At a valid program point at most one
-   fact per destination is available, so converting a fact set back to
-   the reference's map is unambiguous. *)
+   The distinct copy *facts* — each [(dst, src)] pair some qualifying
+   Move establishes — are numbered densely and solved with the
+   must-variant of the packed gen/kill solver (Top = the solver's
+   [None], meet = intersection). A fact is killed by any definition of
+   its destination or source register. At a valid program point at most
+   one fact per destination is available, so converting a fact set back
+   to a map is unambiguous. *)
 
-type elt = Top | Copies of Rtl.operand Reg.Map.t
-
-type bits = {
+type t = {
+  cfg : Mac_cfg.Cfg.t;
   sol : Bitv.t option Dataflow.solution;
   fact_dst : Reg.t array;
   fact_op : Rtl.operand array;
   facts_of_reg : Bitv.t Reg.Tbl.t;  (* facts mentioning the register *)
   fact_index : (int * Rtl.operand, int) Hashtbl.t;
       (* (dst id, operand) -> fact *)
-  nfacts : int;
 }
-
-type impl = Ref of elt Dataflow.solution | Bits of bits
-type t = { cfg : Mac_cfg.Cfg.t; impl : impl }
-
-let operand_equal a b =
-  match (a, b) with
-  | Rtl.Reg r1, Rtl.Reg r2 -> Reg.equal r1 r2
-  | Rtl.Imm i1, Rtl.Imm i2 -> Int64.equal i1 i2
-  | _ -> false
-
-let meet a b =
-  match (a, b) with
-  | Top, x | x, Top -> x
-  | Copies m1, Copies m2 ->
-    Copies
-      (Reg.Map.merge
-         (fun _ s1 s2 ->
-           match (s1, s2) with
-           | Some s1, Some s2 when operand_equal s1 s2 -> Some s1
-           | _ -> None)
-         m1 m2)
-
-let equal a b =
-  match (a, b) with
-  | Top, Top -> true
-  | Copies m1, Copies m2 -> Reg.Map.equal operand_equal m1 m2
-  | _ -> false
-
-let kill r m =
-  Reg.Map.filter
-    (fun d s ->
-      (not (Reg.equal d r))
-      && match s with Rtl.Reg s -> not (Reg.equal s r) | Rtl.Imm _ -> true)
-    m
 
 (* The copy fact an instruction establishes, if any. *)
 let copy_of_inst (i : Rtl.inst) =
@@ -65,25 +29,7 @@ let copy_of_inst (i : Rtl.inst) =
   | Rtl.Move (d, (Rtl.Imm _ as imm)) -> Some (d, imm)
   | _ -> None
 
-let transfer_inst (i : Rtl.inst) = function
-  | Top -> Top
-  | Copies m ->
-    let m = List.fold_left (fun m r -> kill r m) m (Rtl.defs i.kind) in
-    let m =
-      match copy_of_inst i with
-      | Some (d, op) -> Reg.Map.add d op m
-      | None -> m
-    in
-    Copies m
-
-let compute_ref (cfg : Mac_cfg.Cfg.t) =
-  let transfer b v =
-    List.fold_left (fun v i -> transfer_inst i v) v cfg.blocks.(b).insts
-  in
-  Dataflow.solve cfg ~direction:Dataflow.Forward
-    ~boundary:(Copies Reg.Map.empty) ~top:Top ~meet ~equal ~transfer
-
-let compute_bits (cfg : Mac_cfg.Cfg.t) =
+let compute (cfg : Mac_cfg.Cfg.t) =
   (* Enumerate the distinct facts in body order. *)
   let fact_index = Hashtbl.create 32 in
   let rev_facts = ref [] and nfacts = ref 0 in
@@ -151,118 +97,63 @@ let compute_bits (cfg : Mac_cfg.Cfg.t) =
     Dataflow.solve_bits cfg ~direction:Dataflow.Forward ~meet:Dataflow.Inter
       ~gen ~kill ~boundary:(Bitv.create nfacts)
   in
-  Bits { sol; fact_dst; fact_op; facts_of_reg; fact_index; nfacts }
+  { cfg; sol; fact_dst; fact_op; facts_of_reg; fact_index }
 
-let compute ?(engine = `Bitvec) (cfg : Mac_cfg.Cfg.t) =
-  let impl =
-    match engine with
-    | `Reference -> Ref (compute_ref cfg)
-    | `Bitvec -> compute_bits cfg
+(* One instruction's forward transfer on a fresh copy; Top is a transfer
+   fixed point. *)
+let transfer_bits t (i : Rtl.inst) = function
+  | None -> None
+  | Some bv ->
+    let bv = Bitv.copy bv in
+    List.iter
+      (fun r ->
+        match Reg.Tbl.find_opt t.facts_of_reg r with
+        | Some m -> ignore (Bitv.diff_into ~into:bv m)
+        | None -> ())
+      (Rtl.defs i.kind);
+    (match copy_of_inst i with
+    | Some (d, op) -> Bitv.set bv (Hashtbl.find t.fact_index (Reg.id d, op))
+    | None -> ());
+    Some bv
+
+(* Pair each instruction of block [b] with [view] of the facts holding
+   before it. *)
+let walk t b view =
+  let _, acc =
+    List.fold_left
+      (fun (v, acc) i -> (transfer_bits t i v, (i, view v) :: acc))
+      (t.sol.Dataflow.inb.(b), [])
+      t.cfg.blocks.(b).insts
   in
-  { cfg; impl }
+  List.rev acc
 
 let copies_before_each t b =
-  let insts = t.cfg.blocks.(b).insts in
-  match t.impl with
-  | Ref sol ->
-    let to_map = function Top -> Reg.Map.empty | Copies m -> m in
-    let _, acc =
-      List.fold_left
-        (fun (v, acc) i -> (transfer_inst i v, (i, to_map v) :: acc))
-        (sol.Dataflow.inb.(b), [])
-        insts
-    in
-    List.rev acc
-  | Bits bits ->
-    let to_map = function
-      | None -> Reg.Map.empty (* Top, as the reference renders it *)
-      | Some bv ->
-        Bitv.fold_set
-          (fun fi m -> Reg.Map.add bits.fact_dst.(fi) bits.fact_op.(fi) m)
-          bv Reg.Map.empty
-    in
-    let transfer_bits (i : Rtl.inst) = function
-      | None -> None (* Top is a transfer fixed point *)
-      | Some bv ->
-        let bv = Bitv.copy bv in
-        List.iter
-          (fun r ->
-            match Reg.Tbl.find_opt bits.facts_of_reg r with
-            | Some m -> ignore (Bitv.diff_into ~into:bv m)
-            | None -> ())
-          (Rtl.defs i.kind);
-        (match copy_of_inst i with
-        | Some (d, op) ->
-          Bitv.set bv (Hashtbl.find bits.fact_index (Reg.id d, op))
-        | None -> ());
-        Some bv
-    in
-    let _, acc =
-      List.fold_left
-        (fun (v, acc) i -> (transfer_bits i v, (i, to_map v) :: acc))
-        (bits.sol.Dataflow.inb.(b), [])
-        insts
-    in
-    List.rev acc
+  walk t b (function
+    | None -> Reg.Map.empty (* Top renders as the empty map *)
+    | Some bv ->
+      Bitv.fold_set
+        (fun fi m -> Reg.Map.add t.fact_dst.(fi) t.fact_op.(fi) m)
+        bv Reg.Map.empty)
 
 (* Same walk as {!copies_before_each} but handing out lookup closures
-   instead of materialized maps. In the bitvector engine a lookup scans
-   only the facts that mention the queried register (at most one per
-   destination is available at a valid point), so no per-instruction
-   [Reg.Map] is ever built. *)
+   instead of materialized maps. A lookup scans only the facts that
+   mention the queried register (at most one per destination is
+   available at a valid point), so no per-instruction [Reg.Map] is ever
+   built. *)
 let copies_query t b =
-  let insts = t.cfg.blocks.(b).insts in
-  match t.impl with
-  | Ref sol ->
-    let look = function
-      | Top -> fun _ -> None (* rendered as the empty map *)
-      | Copies m -> fun r -> Reg.Map.find_opt r m
-    in
-    let _, acc =
-      List.fold_left
-        (fun (v, acc) i -> (transfer_inst i v, (i, look v) :: acc))
-        (sol.Dataflow.inb.(b), [])
-        insts
-    in
-    List.rev acc
-  | Bits bits ->
-    let look = function
-      | None -> fun _ -> None (* Top, as the reference renders it *)
-      | Some bv ->
-        fun r -> (
-          match Reg.Tbl.find_opt bits.facts_of_reg r with
-          | None -> None
-          | Some mask ->
-            Bitv.fold_set
-              (fun fi acc ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                  if Bitv.get bv fi && Reg.equal bits.fact_dst.(fi) r then
-                    Some bits.fact_op.(fi)
-                  else None)
-              mask None)
-    in
-    let transfer_bits (i : Rtl.inst) = function
-      | None -> None
-      | Some bv ->
-        let bv = Bitv.copy bv in
-        List.iter
-          (fun r ->
-            match Reg.Tbl.find_opt bits.facts_of_reg r with
-            | Some m -> ignore (Bitv.diff_into ~into:bv m)
-            | None -> ())
-          (Rtl.defs i.kind);
-        (match copy_of_inst i with
-        | Some (d, op) ->
-          Bitv.set bv (Hashtbl.find bits.fact_index (Reg.id d, op))
-        | None -> ());
-        Some bv
-    in
-    let _, acc =
-      List.fold_left
-        (fun (v, acc) i -> (transfer_bits i v, (i, look v) :: acc))
-        (bits.sol.Dataflow.inb.(b), [])
-        insts
-    in
-    List.rev acc
+  walk t b (function
+    | None -> fun _ -> None (* Top renders as the empty map *)
+    | Some bv ->
+      fun r -> (
+        match Reg.Tbl.find_opt t.facts_of_reg r with
+        | None -> None
+        | Some mask ->
+          Bitv.fold_set
+            (fun fi acc ->
+              match acc with
+              | Some _ -> acc
+              | None ->
+                if Bitv.get bv fi && Reg.equal t.fact_dst.(fi) r then
+                  Some t.fact_op.(fi)
+                else None)
+            mask None))

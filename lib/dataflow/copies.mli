@@ -6,10 +6,9 @@ open Mac_rtl
 
 type t
 
-val compute : ?engine:Dataflow.engine -> Mac_cfg.Cfg.t -> t
-(** Default [`Bitvec] (dense copy-fact bitvectors, Top tracked
-    explicitly); [`Reference] is the original map-lattice oracle.
-    Identical results either way. *)
+val compute : Mac_cfg.Cfg.t -> t
+(** Solved over dense copy-fact bitvectors, with Top (unreached) tracked
+    explicitly. *)
 
 val copies_before_each : t -> int -> (Rtl.inst * Rtl.operand Reg.Map.t) list
 (** For block [b], each instruction paired with the map [dst -> src] of

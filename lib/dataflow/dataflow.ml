@@ -2,78 +2,18 @@ type direction = Forward | Backward
 
 type 'a solution = { inb : 'a array; outb : 'a array }
 
-type engine = [ `Bitvec | `Reference ]
-
-let engine_of_string = function
-  | "bitvec" | "fast" -> Some `Bitvec
-  | "reference" | "ref" -> Some `Reference
-  | _ -> None
-
-let engine_to_string = function
-  | `Bitvec -> "bitvec"
-  | `Reference -> "reference"
-
-let solve (cfg : Mac_cfg.Cfg.t) ~direction ~boundary ~top ~meet ~equal
-    ~transfer =
-  let n = Array.length cfg.blocks in
-  let inb = Array.make n top and outb = Array.make n top in
-  let preds, succs, is_boundary =
-    match direction with
-    | Forward -> (cfg.pred, cfg.succ, fun b -> b = 0)
-    | Backward ->
-      ( cfg.succ,
-        cfg.pred,
-        fun b ->
-          (* exit blocks: no successors *)
-          cfg.succ.(b) = [] )
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = 0 to n - 1 do
-      let flow_in =
-        let from_edges =
-          List.fold_left
-            (fun acc p ->
-              let v =
-                match direction with Forward -> outb.(p) | Backward -> inb.(p)
-              in
-              match acc with None -> Some v | Some a -> Some (meet a v))
-            None preds.(b)
-        in
-        match (from_edges, is_boundary b) with
-        | Some v, true -> meet v boundary
-        | Some v, false -> v
-        | None, _ -> boundary
-      in
-      let flow_out = transfer b flow_in in
-      let cur_in, cur_out =
-        match direction with
-        | Forward -> (flow_in, flow_out)
-        | Backward -> (flow_out, flow_in)
-      in
-      if not (equal cur_in inb.(b) && equal cur_out outb.(b)) then begin
-        inb.(b) <- cur_in;
-        outb.(b) <- cur_out;
-        changed := true
-      end;
-      ignore succs
-    done
-  done;
-  { inb; outb }
-
-(* The bitvector engine: every analysis here is gen/kill
+(* The bitvector solver: every analysis here is gen/kill
    ([out = gen ∪ (in − kill)] per block), so one solver covers liveness,
    reaching definitions and available copies. Values are [Bitv.t option];
    [None] is the must-analysis Top ("unreached: everything holds
    vacuously"), which is the meet identity and a transfer fixed point —
-   exactly the reference [Copies] lattice. May-analyses ([Union]) never
-   see [None] in the result.
+   exactly the Top of the available-copies map lattice. May-analyses
+   ([Union]) never see [None] in the result.
 
    Iteration sweeps the blocks in reverse postorder (postorder of the
    forward graph for backward problems) until a sweep changes nothing;
-   on reducible flow graphs that is 2–3 sweeps where the reference
-   round-robin over block indices can take a pass per loop level. *)
+   on reducible flow graphs that is 2–3 sweeps where a round-robin over
+   block indices can take a pass per loop level. *)
 
 type meet_op = Union | Inter
 
@@ -95,8 +35,8 @@ let solve_bits (cfg : Mac_cfg.Cfg.t) ~direction ~meet ~gen ~kill ~boundary =
   (* fin.(b) is the value flowing into block [b]'s transfer (block entry
      for forward analyses, block exit for backward ones); fout.(b) the
      transferred value. For [Inter], [None] is Top; for [Union], [None]
-     is "not yet computed" and reads as the empty set, matching the
-     reference solver's empty initial values. *)
+     is "not yet computed" and reads as the empty set, the may-analysis
+     bottom. *)
   let fin = Array.make n None and fout = Array.make n None in
   let transfer b v =
     let r = Bitv.copy v in

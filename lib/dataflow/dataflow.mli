@@ -1,9 +1,8 @@
-(** A small worklist dataflow framework over {!Mac_cfg.Cfg} block graphs.
-
-    Analyses supply the lattice (via [top], [meet], [equal]), the boundary
-    value at the entry (forward) or at every exit block (backward), and a
-    block transfer function. The solver iterates to the maximal fixed
-    point. *)
+(** The gen/kill dataflow solver over {!Mac_cfg.Cfg} block graphs that
+    backs {!Liveness}, {!Reaching} and {!Copies}. Analyses supply per-block
+    gen and kill bitvectors, the meet, and the boundary value at the
+    entry (forward) or at every exit block (backward); the solver
+    iterates to the maximal fixed point. *)
 
 type direction = Forward | Backward
 
@@ -11,29 +10,6 @@ type 'a solution = { inb : 'a array; outb : 'a array }
 (** Per-block dataflow values: [inb.(b)] is the value at block [b]'s entry,
     [outb.(b)] at its exit (in execution order, regardless of analysis
     direction). *)
-
-type engine = [ `Bitvec | `Reference ]
-(** Which solver backs an analysis: [`Bitvec] (default everywhere) runs
-    the packed-bitvector reverse-postorder engine below; [`Reference]
-    runs the original functional-set implementations, kept as the oracle
-    the equivalence tests pin the fast engine against. *)
-
-val engine_of_string : string -> engine option
-val engine_to_string : engine -> string
-
-val solve :
-  Mac_cfg.Cfg.t ->
-  direction:direction ->
-  boundary:'a ->
-  top:'a ->
-  meet:('a -> 'a -> 'a) ->
-  equal:('a -> 'a -> bool) ->
-  transfer:(int -> 'a -> 'a) ->
-  'a solution
-(** [transfer b v] maps the value flowing into block [b] (block entry for
-    forward analyses, block exit for backward ones) across the block. *)
-
-(** {1 Bitvector engine} *)
 
 type meet_op = Union | Inter
 
@@ -49,5 +25,6 @@ val solve_bits :
     block in flow orientation), iterating in reverse postorder until a
     sweep is quiet. All vectors must share [boundary]'s length. In the
     result, [None] is the must-analysis Top ("unreached"); [Union]
-    problems always yield [Some]. The fixed point equals {!solve}'s on
-    the corresponding set lattice. *)
+    problems always yield [Some]. The fixed point equals the round-robin
+    set/map fixpoint on the corresponding lattice; the test suite's
+    oracle pins the three analyses to it. *)

@@ -4,10 +4,7 @@ open Mac_rtl
 
 type t
 
-val compute : ?engine:Dataflow.engine -> Mac_cfg.Cfg.t -> t
-(** Default [`Bitvec]; [`Reference] runs the original set-based fixpoint
-    (the oracle). The two produce identical results through every
-    accessor below. *)
+val compute : Mac_cfg.Cfg.t -> t
 
 val live_in : t -> int -> Reg.Set.t
 (** Registers live on entry to a block. *)

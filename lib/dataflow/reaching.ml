@@ -3,7 +3,7 @@ module IntSet = Set.Make (Int)
 
 let param_uid r = -1 - Reg.id r
 
-(* The bitvector engine numbers definition *sites* densely: one index per
+(* Definition *sites* are numbered densely: one index per
    (defining instruction, defined register) in body order, preceded by
    one pseudo-site per function parameter. [site_uid] maps a site back to
    the uid the public API speaks in; [sites_of_reg] is the per-register
@@ -15,39 +15,7 @@ type bits = {
   nsites : int;
 }
 
-type impl = Ref of IntSet.t Dataflow.solution | Bits of bits
-
-type t = {
-  cfg : Mac_cfg.Cfg.t;
-  impl : impl;
-  by_uid : (int, Rtl.inst) Hashtbl.t;
-  defs_of_reg : IntSet.t Reg.Tbl.t;  (* all definition uids per register *)
-}
-
-let transfer_inst defs_of_reg (i : Rtl.inst) reach =
-  List.fold_left
-    (fun reach r ->
-      let kills =
-        match Reg.Tbl.find_opt defs_of_reg r with
-        | Some s -> s
-        | None -> IntSet.empty
-      in
-      IntSet.add i.uid (IntSet.diff reach kills))
-    reach (Rtl.defs i.kind)
-
-let compute_ref (cfg : Mac_cfg.Cfg.t) defs_of_reg =
-  let boundary =
-    List.fold_left
-      (fun acc r -> IntSet.add (param_uid r) acc)
-      IntSet.empty cfg.func.params
-  in
-  let transfer b reach =
-    List.fold_left
-      (fun reach i -> transfer_inst defs_of_reg i reach)
-      reach cfg.blocks.(b).insts
-  in
-  Dataflow.solve cfg ~direction:Dataflow.Forward ~boundary ~top:IntSet.empty
-    ~meet:IntSet.union ~equal:IntSet.equal ~transfer
+type t = { cfg : Mac_cfg.Cfg.t; bits : bits; by_uid : (int, Rtl.inst) Hashtbl.t }
 
 let compute_bits (cfg : Mac_cfg.Cfg.t) =
   (* Number the sites: parameters first, then body defs in order. *)
@@ -117,112 +85,73 @@ let compute_bits (cfg : Mac_cfg.Cfg.t) =
       ~gen ~kill ~boundary
   in
   let force = function Some v -> v | None -> Bitv.create nsites in
-  Bits
-    {
-      sol =
-        {
-          Dataflow.inb = Array.map force sol.Dataflow.inb;
-          outb = Array.map force sol.Dataflow.outb;
-        };
-      site_uid;
-      sites_of_reg;
-      nsites;
-    }
+  {
+    sol =
+      {
+        Dataflow.inb = Array.map force sol.Dataflow.inb;
+        outb = Array.map force sol.Dataflow.outb;
+      };
+    site_uid;
+    sites_of_reg;
+    nsites;
+  }
 
-let compute ?(engine = `Bitvec) (cfg : Mac_cfg.Cfg.t) =
+let compute (cfg : Mac_cfg.Cfg.t) =
   let by_uid = Hashtbl.create 64 in
-  let defs_of_reg = Reg.Tbl.create 32 in
-  let add_def r uid =
-    let cur =
-      Option.value (Reg.Tbl.find_opt defs_of_reg r) ~default:IntSet.empty
-    in
-    Reg.Tbl.replace defs_of_reg r (IntSet.add uid cur)
-  in
-  List.iter (fun r -> add_def r (param_uid r)) cfg.func.params;
   Array.iter
     (fun (b : Mac_cfg.Cfg.block) ->
-      List.iter
-        (fun (i : Rtl.inst) ->
-          Hashtbl.replace by_uid i.uid i;
-          List.iter (fun r -> add_def r i.uid) (Rtl.defs i.kind))
-        b.insts)
+      List.iter (fun (i : Rtl.inst) -> Hashtbl.replace by_uid i.uid i) b.insts)
     cfg.blocks;
-  let impl =
-    match engine with
-    | `Reference -> Ref (compute_ref cfg defs_of_reg)
-    | `Bitvec -> compute_bits cfg
-  in
-  { cfg; impl; by_uid; defs_of_reg }
+  { cfg; bits = compute_bits cfg; by_uid }
 
 let uids_of_bits bits bv =
   Bitv.fold_set
     (fun s acc -> IntSet.add bits.site_uid.(s) acc)
     bv IntSet.empty
 
-let reach_in t b =
-  match t.impl with
-  | Ref sol -> sol.Dataflow.inb.(b)
-  | Bits bits -> uids_of_bits bits bits.sol.Dataflow.inb.(b)
+let reach_in t b = uids_of_bits t.bits t.bits.sol.Dataflow.inb.(b)
 
 let defs_of_reg_reaching t ~block ~before r =
   let insts = t.cfg.blocks.(block).insts in
   if not (List.exists (fun (i : Rtl.inst) -> i.uid = before.Rtl.uid) insts)
   then raise Not_found;
-  match t.impl with
-  | Ref sol ->
-    let reach_here =
-      List.fold_left
-        (fun reach (i : Rtl.inst) ->
-          match reach with
-          | `Done s -> `Done s
-          | `Flow s ->
-            if i.uid = before.Rtl.uid then `Done s
-            else `Flow (transfer_inst t.defs_of_reg i s))
-        (`Flow sol.Dataflow.inb.(block))
-        insts
-    in
-    let reach_here = match reach_here with `Done s | `Flow s -> s in
-    let all_defs =
-      Option.value (Reg.Tbl.find_opt t.defs_of_reg r) ~default:IntSet.empty
-    in
-    IntSet.inter reach_here all_defs
-  | Bits bits ->
-    (* Walk the block on a scratch vector up to [before], then mask to
-       [r]'s definition sites. Site numbering is in body order, so the
-       per-instruction transfer is: kill the defined registers' sites,
-       set the instruction's own. *)
-    let reach = Bitv.copy bits.sol.Dataflow.inb.(block) in
-    (* Recover each instruction's site indices by re-walking the same
-       order [compute_bits] numbered them in: params first, then blocks
-       in order. Count the sites of the blocks before this one. *)
-    let site = ref (List.length t.cfg.func.params) in
-    for b' = 0 to block - 1 do
-      List.iter
-        (fun (i : Rtl.inst) ->
-          site := !site + List.length (Rtl.defs i.kind))
-        t.cfg.blocks.(b').insts
-    done;
-    (try
-       List.iter
-         (fun (i : Rtl.inst) ->
-           if i.uid = before.Rtl.uid then raise Exit;
-           List.iter
-             (fun dr ->
-               (match Reg.Tbl.find_opt bits.sites_of_reg dr with
-               | Some m -> ignore (Bitv.diff_into ~into:reach m)
-               | None -> ());
-               Bitv.set reach !site;
-               incr site)
-             (Rtl.defs i.kind))
-         insts
-     with Exit -> ());
-    let masked =
-      match Reg.Tbl.find_opt bits.sites_of_reg r with
-      | Some m ->
-        ignore (Bitv.inter_into ~into:reach m);
-        reach
-      | None -> Bitv.create bits.nsites
-    in
-    uids_of_bits bits masked
+  let bits = t.bits in
+  (* Walk the block on a scratch vector up to [before], then mask to
+     [r]'s definition sites. Site numbering is in body order, so the
+     per-instruction transfer is: kill the defined registers' sites,
+     set the instruction's own. *)
+  let reach = Bitv.copy bits.sol.Dataflow.inb.(block) in
+  (* Recover each instruction's site indices by re-walking the same
+     order [compute_bits] numbered them in: params first, then blocks
+     in order. Count the sites of the blocks before this one. *)
+  let site = ref (List.length t.cfg.func.params) in
+  for b' = 0 to block - 1 do
+    List.iter
+      (fun (i : Rtl.inst) ->
+        site := !site + List.length (Rtl.defs i.kind))
+      t.cfg.blocks.(b').insts
+  done;
+  (try
+     List.iter
+       (fun (i : Rtl.inst) ->
+         if i.uid = before.Rtl.uid then raise Exit;
+         List.iter
+           (fun dr ->
+             (match Reg.Tbl.find_opt bits.sites_of_reg dr with
+             | Some m -> ignore (Bitv.diff_into ~into:reach m)
+             | None -> ());
+             Bitv.set reach !site;
+             incr site)
+           (Rtl.defs i.kind))
+       insts
+   with Exit -> ());
+  let masked =
+    match Reg.Tbl.find_opt bits.sites_of_reg r with
+    | Some m ->
+      ignore (Bitv.inter_into ~into:reach m);
+      reach
+    | None -> Bitv.create bits.nsites
+  in
+  uids_of_bits bits masked
 
 let def_inst t uid = Hashtbl.find_opt t.by_uid uid

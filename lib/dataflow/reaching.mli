@@ -10,9 +10,8 @@ type t
 
 module IntSet : Set.S with type elt = int
 
-val compute : ?engine:Dataflow.engine -> Mac_cfg.Cfg.t -> t
-(** Default [`Bitvec] (dense definition-site bitvectors); [`Reference]
-    is the original uid-set oracle. Identical results either way. *)
+val compute : Mac_cfg.Cfg.t -> t
+(** Solved over dense definition-site bitvectors. *)
 
 val reach_in : t -> int -> IntSet.t
 (** Uids of definitions reaching block entry. *)

@@ -1,4 +1,5 @@
 open Mac_rtl
+module Machine = Mac_machine.Machine
 
 exception Too_few_registers of string
 
@@ -114,16 +115,46 @@ let scan intervals ~allocatable =
     intervals;
   (assignment, !next_slot)
 
+(* How a spill slot (8 bytes: registers hold 64-bit values on every
+   machine) is reached. A machine with doubleword loads and stores moves
+   it in one access; a 32-bit machine moves its two word halves, low half
+   first (memory is little-endian, as in Legalize's doubleword split),
+   and assembles the value in a reserved scratch register. *)
+type slot_access = Whole | Halves of Reg.t
+
+let slot_mem ~fp slot width disp =
+  { Rtl.base = fp; disp = Int64.of_int ((8 * slot) + disp); width;
+    aligned = true }
+
+let reload_slot access ~fp slot t =
+  let mem = slot_mem ~fp slot in
+  match access with
+  | Whole -> [ Rtl.Load { dst = t; src = mem Width.W64 0; sign = Rtl.Unsigned } ]
+  | Halves s ->
+    [
+      Rtl.Load { dst = s; src = mem Width.W32 4; sign = Rtl.Unsigned };
+      Rtl.Binop (Rtl.Shl, s, Rtl.Reg s, Rtl.Imm 32L);
+      Rtl.Load { dst = t; src = mem Width.W32 0; sign = Rtl.Unsigned };
+      Rtl.Binop (Rtl.Or, t, Rtl.Reg t, Rtl.Reg s);
+    ]
+
+let store_slot access ~fp slot t =
+  let mem = slot_mem ~fp slot in
+  match access with
+  | Whole -> [ Rtl.Store { src = Rtl.Reg t; dst = mem Width.W64 0 } ]
+  | Halves s ->
+    [
+      Rtl.Store { src = Rtl.Reg t; dst = mem Width.W32 0 };
+      Rtl.Binop (Rtl.Lshr, s, Rtl.Reg t, Rtl.Imm 32L);
+      Rtl.Store { src = Rtl.Reg s; dst = mem Width.W32 4 };
+    ]
+
 (* Rewrite one instruction: spilled uses are loaded into staging temps
    before it, spilled definitions stored back after it. The mapping is
    computed once over the original registers, so read-modify-write
    destinations (Insert) get both the load and the store. *)
-let rewrite_inst assignment ~temps ~fp (i : Rtl.inst)
+let rewrite_inst assignment ~temps ~fp ~access (i : Rtl.inst)
     (fresh : Rtl.kind -> Rtl.inst) =
-  let slot_mem slot =
-    { Rtl.base = fp; disp = Int64.of_int (8 * slot); width = Width.W64;
-      aligned = true }
-  in
   let next_temp = ref 0 in
   let temp_of : (int, Reg.t) Hashtbl.t = Hashtbl.create 4 in
   let temp_for r =
@@ -151,47 +182,44 @@ let rewrite_inst assignment ~temps ~fp (i : Rtl.inst)
     | Some (`Slot s) -> Some s
     | _ -> None
   in
-  let pre =
-    List.filter_map
+  let spill_code code regs =
+    List.concat_map
       (fun r ->
-        Option.map
-          (fun s ->
-            Rtl.Load { dst = temp_for r; src = slot_mem s;
-                       sign = Rtl.Unsigned })
-          (slot_of r))
-      (Rtl.uses i.kind)
+        match slot_of r with
+        | Some s -> code access ~fp s (temp_for r)
+        | None -> [])
+      regs
   in
-  let post =
-    List.filter_map
-      (fun r ->
-        Option.map
-          (fun s ->
-            Rtl.Store { src = Rtl.Reg (temp_for r); dst = slot_mem s })
-          (slot_of r))
-      (Rtl.defs i.kind)
-  in
+  let pre = spill_code reload_slot (Rtl.uses i.kind) in
+  let post = spill_code store_slot (Rtl.defs i.kind) in
   let kind' = Rtl.map_regs mapping i.kind in
   List.map fresh pre @ [ { i with kind = kind' } ] @ List.map fresh post
 
-let run ?am (f : Func.t) ~num_regs =
+let run ?am (f : Func.t) ~num_regs ~(machine : Machine.t) =
   let am =
     match am with Some am -> am | None -> Mac_dataflow.Analysis.create f
   in
-  if num_regs < List.length f.params + 4 then
+  let whole =
+    Machine.legal_load machine Width.W64 ~aligned:true
+    && Machine.legal_store machine Width.W64 ~aligned:true
+  in
+  let reserved = if whole then 3 else 4 in
+  if num_regs < List.length f.params + reserved + 1 then
     raise
       (Too_few_registers
          (Printf.sprintf "%d registers for %d parameters" num_regs
             (List.length f.params)));
-  let allocatable = num_regs - 3 in
+  let allocatable = num_regs - reserved in
   let temps = [ Reg.make (num_regs - 3); Reg.make (num_regs - 2);
                 Reg.make (num_regs - 1) ] in
+  let access = if whole then Whole else Halves (Reg.make (num_regs - 4)) in
   let fp = Reg.make num_regs in
   let intervals = intervals_of am f in
   let assignment, slots = scan intervals ~allocatable in
   let fresh kind = Func.inst f kind in
   let body' =
     List.concat_map
-      (fun i -> rewrite_inst assignment ~temps ~fp i fresh)
+      (fun i -> rewrite_inst assignment ~temps ~fp ~access i fresh)
       f.body
   in
   Func.set_body f body';

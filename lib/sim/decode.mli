@@ -1,4 +1,4 @@
-(** Pre-decoded execution engine: compile a {!Mac_rtl.Func.t} once per
+(** The jit's front end: compile a {!Mac_rtl.Func.t} once per
     [(function, machine)] into a flat array of pre-resolved instructions.
 
     The naive interpreter re-derives per-instruction facts on every
@@ -21,9 +21,9 @@
     - labels get dense visit-counter slots, replacing the per-executed
       label hashtable.
 
-    A decode cache ([t]) lives inside the interpreter state, so recursive
+    A decode cache ([t]) is created once per simulation run, so recursive
     and repeated calls to the same function reuse the decoded form. All
-    types are transparent: the executor in {!Interp} is the intended
+    types are transparent: the closure compiler in {!Jit} is the intended
     consumer. *)
 
 open Mac_rtl

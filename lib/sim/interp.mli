@@ -21,18 +21,17 @@ exception Trap of string
 
 type program = Func.t list
 
-type engine = [ `Fast | `Reference | `Jit ]
-(** [`Fast] (the default) executes the pre-decoded form built by
-    {!Decode}: one decode per (function, machine) with branch targets,
-    costs, latencies, stall sets, access legality and fetch addresses all
-    resolved up front. [`Reference] is the original tree-walking
-    evaluator kept as the semantic baseline. [`Jit] additionally compiles
-    each decoded function into a chain of OCaml closures with fused
+type engine = [ `Reference | `Jit ]
+(** [`Jit] (the default) decodes each function once per (function,
+    machine) with {!Decode} — branch targets, costs, latencies, stall
+    sets, access legality and fetch addresses all resolved up front — and
+    compiles the decoded form into a chain of OCaml closures with fused
     superinstructions, an inlined data-cache fast path and a per-leader
-    block cache (see {!Jit}). All three are bit-identical — same return
-    value, same heap contents, same metrics (including [label_counts] and
-    [icache_misses]) and same trap strings on every program; the
-    [test_engine] qcheck suite pins them to each other. *)
+    block cache (see {!Jit}). [`Reference] is the original tree-walking
+    evaluator kept as the semantic oracle. The two are bit-identical —
+    same return value, same heap contents, same metrics (including
+    [label_counts] and [icache_misses]) and same trap strings on every
+    program; the [test_engine] qcheck suite pins them to each other. *)
 
 type metrics = {
   insts : int;
@@ -52,8 +51,7 @@ type result = {
   phases : (string * float) list;
       (** wall-clock seconds per simulator phase, in order:
           [("decode", _); ("compile", _); ("execute", _)]. The reference
-          engine reports 0 for decode and compile; the fast engine for
-          compile. Timing-only — excluded from metric comparisons and
+          engine reports 0 for decode and compile. Timing-only — excluded from metric comparisons and
           from deterministic JSON output. *)
 }
 

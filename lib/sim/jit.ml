@@ -1,7 +1,7 @@
 open Mac_rtl
 module Machine = Mac_machine.Machine
 
-(* Superblock closure compilation: the third simulator engine.
+(* Superblock closure compilation: the default simulator engine.
 
    Each decoded function is compiled once per run into a chain of OCaml
    closures (threaded code): one closure per instruction — or per fused

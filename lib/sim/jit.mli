@@ -3,7 +3,7 @@
     Compiles each decoded function ({!Decode.fn}) once per run into a
     chain of OCaml closures — threaded code — and executes by indirect
     tail calls with no per-instruction dispatch. Three specializations
-    beyond the pre-decoded engine:
+    beyond executing the decoded slots one by one:
 
     - {b superinstruction fusion}: adjacent pairs inside a basic block
       whose second instruction consumes exactly the first's result are

@@ -1,24 +1,18 @@
 (** Compiler build identity.
 
-    Nothing in the toolchain identified a compiler build until the
-    compile cache made that dangerous: a cache entry produced by one
-    build must never satisfy a request compiled by another whose
-    semantics differ. {!compiler_fingerprint} is the single string the
-    whole system uses for that — the {!Mac_serve} cache key folds it
-    in, the serve protocol hello announces it, the BENCH artifact
-    headers record it, and [mcc --version]/[mccd --version] print it. *)
-
-val version : string
-(** The human-facing semantic version of the compiler pipeline.
-    Bumped whenever a change alters what any (source, machine, level,
-    verify) compile produces — new passes, changed pass behavior,
-    changed artifact rendering. The CHANGES.md discipline: a PR that
-    changes compile output bumps this. *)
+    A compile cache entry produced by one build must never satisfy a
+    request compiled by another whose semantics differ.
+    {!compiler_fingerprint} is the single string the whole system uses
+    for that — the {!Mac_serve} cache key folds it in, the serve
+    protocol hello announces it, the BENCH artifact headers record it,
+    and [mcc --version]/[mccd --version] print it. *)
 
 val compiler_fingerprint : string
-(** [mcc/VERSION+HASH]: {!version} plus a short digest binding in the
-    toolchain parameters the emitted code could depend on (OCaml
-    compiler version, word size). Two processes report equal
-    fingerprints only when they agree on {!version} and were built by
-    the same toolchain generation — the property the compile cache,
-    the protocol hello and the bench headers all key on. *)
+(** [mcc/HASH]: a short digest over the sources of every library that
+    shapes a compile artifact (digested at build time, so no edit can
+    forget to change it) and the toolchain parameters the emitted code
+    could depend on (OCaml compiler version, word size). Two processes
+    report equal fingerprints only when they were built from the same
+    compiler sources by the same toolchain generation — the property the
+    compile cache, the protocol hello and the bench headers all key
+    on. *)

@@ -26,11 +26,9 @@ type cell = {
 
 type speedup = {
   serial_reference_seconds : float;
-  serial_fast_seconds : float;
   serial_jit_seconds : float;
-  parallel_fast_seconds : float;
+  parallel_jit_seconds : float;
   ratio : float;
-  jit_ratio : float;
 }
 
 let savings ~baseline v =
@@ -127,7 +125,7 @@ let full_outcomes ?jobs ?engine ~size () =
       Workloads.all
   in
   let outs =
-    Pool.map ?jobs
+    Mac_parallel.Pool.map ?jobs
       (fun ((b : Workloads.t), level) ->
         Workloads.run ~size ~coalesce:Mac_core.Coalesce.default
           ~strength_reduce:true ~schedule:true ~regalloc:32
@@ -186,7 +184,7 @@ let run ?jobs ?engine ~size ?(full_size = 64) () =
 (* --- JSON ----------------------------------------------------------- *)
 
 (* Escaping, number formats and the re-parse all come from the shared
-   kernel; this writer only owns the mac-bench-sim/6 document shape. *)
+   kernel; this writer only owns the mac-bench-sim/7 document shape. *)
 let json_escape = Jsonio.escape
 
 (* Timing fields are measurements: they differ run to run, so the
@@ -249,11 +247,10 @@ let to_json ~size ~jobs_requested ~jobs_effective ~engine ~wall_seconds
     | Some s ->
       Printf.sprintf
         "  \"tab2_speedup\": {\"serial_reference_seconds\": %.3f, \
-         \"serial_fast_seconds\": %.3f, \"serial_jit_seconds\": %.3f, \
-         \"parallel_fast_seconds\": %.3f, \"ratio\": %.2f, \
-         \"jit_ratio\": %.2f},\n"
-        s.serial_reference_seconds s.serial_fast_seconds
-        s.serial_jit_seconds s.parallel_fast_seconds s.ratio s.jit_ratio
+         \"serial_jit_seconds\": %.3f, \"parallel_jit_seconds\": %.3f, \
+         \"ratio\": %.2f},\n"
+        s.serial_reference_seconds s.serial_jit_seconds
+        s.parallel_jit_seconds s.ratio
   in
   let compile_seconds =
     List.fold_left (fun acc c -> acc +. c.compile_seconds) 0.0 cells
@@ -269,7 +266,7 @@ let to_json ~size ~jobs_requested ~jobs_effective ~engine ~wall_seconds
     seconds_obj (aggregate_seconds (fun c -> c.sim_phases) cells)
   in
   Printf.sprintf
-    "{\n  \"schema\": \"mac-bench-sim/6\",\n  \
+    "{\n  \"schema\": \"mac-bench-sim/7\",\n  \
      \"compiler_fingerprint\": \"%s\",\n  \"size\": %d,\n  \
      \"jobs_requested\": %d,\n  \"jobs_effective\": %d,\n  \
      \"engine\": \"%s\",\n  \"wall_seconds\": %.3f,\n  \
@@ -350,7 +347,7 @@ let validate text =
   | Error msg -> Error ("BENCH_sim.json does not parse: " ^ msg)
   | Ok doc -> (
     match Json.member "schema" doc with
-    | Some (Json.Str "mac-bench-sim/6") -> (
+    | Some (Json.Str "mac-bench-sim/7") -> (
       let positive_num key =
         match Json.member key doc with
         | Some (Json.Num s) when s > 0.0 -> Ok ()
@@ -400,19 +397,54 @@ let validate text =
              (no pass was translation-validated?)"
         | _ -> Error "BENCH_sim.json has no \"tvalid_seconds\" object"
       in
+      let engine () =
+        match Json.member "engine" doc with
+        | Some (Json.Str ("jit" | "reference")) -> Ok ()
+        | _ ->
+          Error
+            "BENCH_sim.json has no \"engine\" string naming jit or \
+             reference"
+      in
+      let speedup_obj () =
+        (* optional (only the full bench harness measures it), but when
+           present it carries exactly the two-engine fields *)
+        match Json.member "tab2_speedup" doc with
+        | None -> Ok ()
+        | Some (Json.Obj fields as s) ->
+          let keys =
+            [ "serial_reference_seconds"; "serial_jit_seconds";
+              "parallel_jit_seconds"; "ratio" ]
+          in
+          if
+            List.length fields = List.length keys
+            && List.for_all
+                 (fun k ->
+                   match Json.member k s with
+                   | Some (Json.Num _) -> true
+                   | _ -> false)
+                 keys
+          then Ok ()
+          else
+            Error
+              ("BENCH_sim.json tab2_speedup must hold exactly numeric "
+              ^ String.concat "/" keys)
+        | Some _ -> Error "BENCH_sim.json tab2_speedup is not an object"
+      in
       let ( let* ) r f =
         match r with Ok () -> f () | Error msg -> Error msg
       in
       let* () = fingerprint () in
+      let* () = engine () in
       let* () = positive_num "compile_seconds" in
       let* () = positive_num "sim_seconds" in
       let* () = positive_num "jobs_requested" in
       let* () = positive_num "jobs_effective" in
       let* () = phase_obj () in
       let* () = tvalid_obj () in
+      let* () = speedup_obj () in
       validate_cells doc)
     | Some (Json.Str other) ->
       Error
         (Printf.sprintf
-           "BENCH_sim.json schema is %S, expected \"mac-bench-sim/6\"" other)
+           "BENCH_sim.json schema is %S, expected \"mac-bench-sim/7\"" other)
     | _ -> Error "BENCH_sim.json has no \"schema\" string")

@@ -234,15 +234,19 @@ let test_copies_available_at_join_when_on_both_paths () =
     | _ -> Alcotest.fail "constant available from both paths")
   | [] -> Alcotest.fail "empty block"
 
-(* --- engine equivalence on random CFGs ------------------------------ *)
+(* --- oracle equivalence on random CFGs ------------------------------ *)
 
-(* The bitvector engine is pinned against the reference (set/map-based)
-   engine on randomly generated control flow: chains of blocks with
-   random jumps, branches and fall-throughs, which naturally produce
-   unreachable blocks (a block after a jump nobody targets), self-loops
-   (a block branching to its own label) and empty blocks (a label that
-   falls straight through to the next). Every accessor — materialized
-   sets, query closures and the eager fold — must agree exactly. *)
+(* The bitvector analyses are pinned against the set/map reference
+   solutions of Dataflow_oracle on randomly generated control flow:
+   chains of blocks with random jumps, branches and fall-throughs, which
+   naturally produce unreachable blocks (a block after a jump nobody
+   targets), self-loops (a block branching to its own label) and empty
+   blocks (a label that falls straight through to the next). Every public
+   accessor — materialized sets, query closures and the eager fold — must
+   agree exactly with the oracle. *)
+
+module Oracle = Dataflow_oracle
+module Dataflow = Mac_dataflow.Dataflow
 
 type rand_block = {
   rb_insts : Rtl.kind list;  (* interior: moves and binops over r0..r7 *)
@@ -320,76 +324,70 @@ let arbitrary_func =
 let all_regs f = List.init f.Func.next_reg Reg.make
 
 let check_liveness_equal f cfg =
-  let bits = Liveness.compute ~engine:`Bitvec cfg in
-  let refr = Liveness.compute ~engine:`Reference cfg in
+  let live = Liveness.compute cfg in
+  let oracle = Oracle.liveness cfg in
   let regs = all_regs f in
   Array.iteri
     (fun b _ ->
-      if not (Reg.Set.equal (Liveness.live_in bits b) (Liveness.live_in refr b))
+      if not (Reg.Set.equal (Liveness.live_in live b) oracle.Dataflow.inb.(b))
       then QCheck.Test.fail_reportf "live_in differs at block %d" b;
       if
-        not
-          (Reg.Set.equal (Liveness.live_out bits b) (Liveness.live_out refr b))
+        not (Reg.Set.equal (Liveness.live_out live b) oracle.Dataflow.outb.(b))
       then QCheck.Test.fail_reportf "live_out differs at block %d" b;
-      let each_b = Liveness.live_after_each bits b in
-      let each_r = Liveness.live_after_each refr b in
+      let expected = Oracle.live_after_each cfg oracle b in
       List.iter2
-        (fun (ib, sb) (ir, sr) ->
-          if ib.Rtl.uid <> ir.Rtl.uid || not (Reg.Set.equal sb sr) then
+        (fun (i, got) (ie, want) ->
+          if i.Rtl.uid <> ie.Rtl.uid || not (Reg.Set.equal got want) then
             QCheck.Test.fail_reportf "live_after_each differs at block %d" b)
-        each_b each_r;
+        (Liveness.live_after_each live b)
+        expected;
       (* query closures and the eager fold answer exactly the sets *)
-      List.iter
-        (fun live ->
-          List.iter2
-            (fun (i, set) (iq, q) ->
-              if i.Rtl.uid <> iq.Rtl.uid then
-                QCheck.Test.fail_reportf "query order differs at block %d" b;
-              List.iter
-                (fun r ->
-                  if Reg.Set.mem r set <> q r then
-                    QCheck.Test.fail_reportf
-                      "live_after_query differs at block %d reg %d" b
-                      (Reg.id r))
-                regs)
-            each_r
-            (Liveness.live_after_query live b);
-          (* reverse visit order: consing builds the forward order *)
-          let folded =
-            Liveness.fold_live_after live b ~init:[]
-              ~f:(fun acc i q -> (i.Rtl.uid, List.filter q regs) :: acc)
-          in
-          List.iter2
-            (fun (i, set) (uid, live_regs) ->
-              if
-                i.Rtl.uid <> uid
-                || not (Reg.Set.equal set (Reg.Set.of_list live_regs))
-              then
-                QCheck.Test.fail_reportf "fold_live_after differs at block %d"
-                  b)
-            each_r folded)
-        [ bits; refr ])
+      List.iter2
+        (fun (i, set) (iq, q) ->
+          if i.Rtl.uid <> iq.Rtl.uid then
+            QCheck.Test.fail_reportf "query order differs at block %d" b;
+          List.iter
+            (fun r ->
+              if Reg.Set.mem r set <> q r then
+                QCheck.Test.fail_reportf
+                  "live_after_query differs at block %d reg %d" b (Reg.id r))
+            regs)
+        expected
+        (Liveness.live_after_query live b);
+      (* reverse visit order: consing builds the forward order *)
+      let folded =
+        Liveness.fold_live_after live b ~init:[] ~f:(fun acc i q ->
+            (i.Rtl.uid, List.filter q regs) :: acc)
+      in
+      List.iter2
+        (fun (i, set) (uid, live_regs) ->
+          if
+            i.Rtl.uid <> uid
+            || not (Reg.Set.equal set (Reg.Set.of_list live_regs))
+          then QCheck.Test.fail_reportf "fold_live_after differs at block %d" b)
+        expected folded)
     cfg.Cfg.blocks
 
 let check_reaching_equal f cfg =
-  let bits = Reaching.compute ~engine:`Bitvec cfg in
-  let refr = Reaching.compute ~engine:`Reference cfg in
+  let reach = Reaching.compute cfg in
+  let oracle = Oracle.reaching cfg in
   let regs = all_regs f in
   Array.iteri
     (fun b (blk : Cfg.block) ->
-      if not (Reaching.IntSet.equal (Reaching.reach_in bits b)
-                (Reaching.reach_in refr b))
+      if
+        not
+          (Reaching.IntSet.equal (Reaching.reach_in reach b)
+             oracle.Dataflow.inb.(b))
       then QCheck.Test.fail_reportf "reach_in differs at block %d" b;
       List.iter
         (fun i ->
           List.iter
             (fun r ->
-              let db =
-                Reaching.defs_of_reg_reaching bits ~block:b ~before:i r
-              and dr =
-                Reaching.defs_of_reg_reaching refr ~block:b ~before:i r
+              let got = Reaching.defs_of_reg_reaching reach ~block:b ~before:i r
+              and want =
+                Oracle.defs_of_reg_reaching cfg oracle ~block:b ~before:i r
               in
-              if not (Reaching.IntSet.equal db dr) then
+              if not (Reaching.IntSet.equal got want) then
                 QCheck.Test.fail_reportf
                   "defs_of_reg_reaching differs at block %d reg %d" b
                   (Reg.id r))
@@ -398,38 +396,34 @@ let check_reaching_equal f cfg =
     cfg.Cfg.blocks
 
 let check_copies_equal f cfg =
-  let bits = Copies.compute ~engine:`Bitvec cfg in
-  let refr = Copies.compute ~engine:`Reference cfg in
+  let copies = Copies.compute cfg in
+  let oracle = Oracle.copies cfg in
   let regs = all_regs f in
   Array.iteri
     (fun b _ ->
-      let each_b = Copies.copies_before_each bits b in
-      let each_r = Copies.copies_before_each refr b in
+      let expected = Oracle.copies_before_each cfg oracle b in
       List.iter2
-        (fun (ib, mb) (ir, mr) ->
-          if ib.Rtl.uid <> ir.Rtl.uid || not (Reg.Map.equal ( = ) mb mr) then
+        (fun (i, got) (ie, want) ->
+          if i.Rtl.uid <> ie.Rtl.uid || not (Reg.Map.equal ( = ) got want) then
             QCheck.Test.fail_reportf "copies_before_each differs at block %d"
               b)
-        each_b each_r;
-      List.iter
-        (fun copies ->
-          List.iter2
-            (fun (i, map) (iq, q) ->
-              if i.Rtl.uid <> iq.Rtl.uid then
-                QCheck.Test.fail_reportf
-                  "copies query order differs at block %d" b;
-              List.iter
-                (fun r ->
-                  if Reg.Map.find_opt r map <> q r then
-                    QCheck.Test.fail_reportf
-                      "copies_query differs at block %d reg %d" b (Reg.id r))
-                regs)
-            each_r
-            (Copies.copies_query copies b))
-        [ bits; refr ])
+        (Copies.copies_before_each copies b)
+        expected;
+      List.iter2
+        (fun (i, map) (iq, q) ->
+          if i.Rtl.uid <> iq.Rtl.uid then
+            QCheck.Test.fail_reportf "copies query order differs at block %d" b;
+          List.iter
+            (fun r ->
+              if Reg.Map.find_opt r map <> q r then
+                QCheck.Test.fail_reportf "copies_query differs at block %d reg %d"
+                  b (Reg.id r))
+            regs)
+        expected
+        (Copies.copies_query copies b))
     cfg.Cfg.blocks
 
-let engine_equivalence_tests =
+let oracle_equivalence_tests =
   let mk name check =
     QCheck.Test.make ~count:300 ~name arbitrary_func (fun rand ->
         let f = func_of_rand rand in
@@ -705,7 +699,7 @@ let () =
             test_copies_available_at_join_when_on_both_paths;
         ] );
       ( "engine equivalence",
-        List.map QCheck_alcotest.to_alcotest engine_equivalence_tests );
+        List.map QCheck_alcotest.to_alcotest oracle_equivalence_tests );
       ("analysis manager", manager_tests);
       ("congruence", congruence_tests);
     ]

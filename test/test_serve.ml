@@ -147,9 +147,30 @@ let test_key_dimensions () =
   Alcotest.(check bool) "level in key" true (k <> base ~level:"O1" ());
   Alcotest.(check bool) "verify in key" true (k <> base ~verify:"full" ());
   Alcotest.(check bool) "fingerprint in key" true
-    (k <> base ~fingerprint:"mcc/9.9.9+000000000000" ());
+    (k <> base ~fingerprint:"mcc/000000000000" ());
   Alcotest.(check string) "default fingerprint is the build's" k
     (base ~fingerprint:Mac_vpo.Version.compiler_fingerprint ())
+
+(* The fingerprint is derived from a build-time digest of the compiler
+   sources, never maintained by hand: it is "mcc/" plus 12 hex digits,
+   and a request's cache key is the one built from exactly this string
+   (the daemon's hello carrying it is checked end to end below). *)
+let test_fingerprint_derived () =
+  let fp = Mac_vpo.Version.compiler_fingerprint in
+  let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
+  Alcotest.(check bool) "mcc/ + 12 hex digits" true
+    (String.length fp = 16
+    && String.sub fp 0 4 = "mcc/"
+    && String.for_all is_hex (String.sub fp 4 12));
+  let req = Protocol.request ~machine:"alpha" (`Bench "dotproduct") in
+  let key ?fingerprint () =
+    match Digest_key.of_request ?fingerprint req with
+    | Ok k -> k
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "request key built from the fingerprint" true
+    (key () = key ~fingerprint:fp ()
+    && key () <> key ~fingerprint:(fp ^ "x") ())
 
 let test_bench_resolves_to_source () =
   (* --bench image_add and a file holding the same program share one
@@ -517,6 +538,8 @@ let () =
             Alcotest.test_case "corpus collision-free" `Quick
               test_corpus_collision_free;
             Alcotest.test_case "key dimensions" `Quick test_key_dimensions;
+            Alcotest.test_case "fingerprint derived from sources" `Quick
+              test_fingerprint_derived;
             Alcotest.test_case "bench resolves to source" `Quick
               test_bench_resolves_to_source;
           ] );

@@ -50,14 +50,16 @@ let transfer_bits (i : Rtl.inst) live =
   List.iter (fun r -> Bitv.set live (Reg.id r)) (Rtl.uses i.kind);
   live
 
-let live_after_each t b =
-  let _, acc =
-    List.fold_right
-      (fun i (live, acc) -> (transfer_bits i live, (i, to_set live) :: acc))
-      t.cfg.blocks.(b).insts
-      (t.sol.Dataflow.outb.(b), [])
-  in
-  acc
+(* Pair each instruction of block [b] with [view] of the registers live
+   after it. *)
+let walk t b view =
+  snd
+    (List.fold_right
+       (fun i (live, acc) -> (transfer_bits i live, (i, view live) :: acc))
+       t.cfg.blocks.(b).insts
+       (t.sol.Dataflow.outb.(b), []))
+
+let live_after_each t b = walk t b to_set
 
 (* Same walk without materializing sets: each instruction is paired with a
    membership query on the liveness-after fact. Consumers that only probe
@@ -66,15 +68,7 @@ let live_after_each t b =
    order of magnitude more than the block solve itself. *)
 let live_after_query t b =
   let nbits = t.nbits in
-  let _, acc =
-    List.fold_right
-      (fun i (live, acc) ->
-        ( transfer_bits i live,
-          (i, fun r -> Reg.id r < nbits && Bitv.get live (Reg.id r)) :: acc ))
-      t.cfg.blocks.(b).insts
-      (t.sol.Dataflow.outb.(b), [])
-  in
-  acc
+  walk t b (fun live r -> Reg.id r < nbits && Bitv.get live (Reg.id r))
 
 (* Eager variant: instructions are visited in reverse body order and the
    membership query passed to [f] is valid only during that call (a

@@ -46,6 +46,14 @@ let same_len a b =
 let equal a b = a.nbits = b.nbits && a.words = b.words
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
+let intersects a b =
+  same_len a b;
+  let rec go w =
+    w < Array.length a.words
+    && (a.words.(w) land b.words.(w) <> 0 || go (w + 1))
+  in
+  go 0
+
 (* Each returns whether [into] changed. *)
 let union_into ~into src =
   same_len into src;
@@ -95,6 +103,12 @@ let iter_set f t =
         if (word lsr b) land 1 = 1 then f ((w * bpw) + b)
       done
   done
+
+let for_all_set f t =
+  let exception Stop in
+  match iter_set (fun i -> if not (f i) then raise Stop) t with
+  | () -> true
+  | exception Stop -> false
 
 let fold_set f t acc =
   let acc = ref acc in

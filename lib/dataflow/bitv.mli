@@ -18,6 +18,9 @@ val get : t -> int -> bool
 val equal : t -> t -> bool
 val is_empty : t -> bool
 
+val intersects : t -> t -> bool
+(** Whether the two vectors share a set index (no allocation). *)
+
 val union_into : into:t -> t -> bool
 (** [union_into ~into src] sets [into := into ∪ src]; returns whether
     [into] changed. *)
@@ -31,5 +34,9 @@ val blit : into:t -> t -> unit
 
 val iter_set : (int -> unit) -> t -> unit
 (** Iterate the set indices in ascending order. *)
+
+val for_all_set : (int -> bool) -> t -> bool
+(** Whether [f] holds for every set index, visited in ascending order;
+    stops at the first index where it does not. *)
 
 val fold_set : (int -> 'a -> 'a) -> t -> 'a -> 'a

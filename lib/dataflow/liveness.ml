@@ -43,6 +43,9 @@ let to_set bv = Bitv.fold_set (fun i acc -> Reg.Set.add (Reg.make i) acc) bv Reg
 let live_in t b = to_set t.sol.Dataflow.inb.(b)
 let live_out t b = to_set t.sol.Dataflow.outb.(b)
 
+let for_all_live_out t b f =
+  Bitv.for_all_set (fun i -> f (Reg.make i)) t.sol.Dataflow.outb.(b)
+
 (* One instruction's backward transfer on a fresh copy. *)
 let transfer_bits (i : Rtl.inst) live =
   let live = Bitv.copy live in

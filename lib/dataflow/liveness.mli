@@ -12,6 +12,10 @@ val live_in : t -> int -> Reg.Set.t
 val live_out : t -> int -> Reg.Set.t
 (** Registers live on exit from a block. *)
 
+val for_all_live_out : t -> int -> (Reg.t -> bool) -> bool
+(** [Reg.Set.for_all f (live_out t b)] read straight off the block's
+    bitvector, without building the set. *)
+
 val live_after_each : t -> int -> (Rtl.inst * Reg.Set.t) list
 (** For block [b], each instruction paired with the set of registers live
     {e after} it — what dead-code elimination consults. *)

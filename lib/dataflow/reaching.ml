@@ -7,12 +7,12 @@ let param_uid r = -1 - Reg.id r
    (defining instruction, defined register) in body order, preceded by
    one pseudo-site per function parameter. [site_uid] maps a site back to
    the uid the public API speaks in; [sites_of_reg] is the per-register
-   kill/filter mask. *)
+   kill/filter mask; [block_base.(b)] is block [b]'s first site. *)
 type bits = {
   sol : Bitv.t Dataflow.solution;
   site_uid : int array;
+  block_base : int array;
   sites_of_reg : Bitv.t Reg.Tbl.t;
-  nsites : int;
 }
 
 type t = { cfg : Mac_cfg.Cfg.t; bits : bits; by_uid : (int, Rtl.inst) Hashtbl.t }
@@ -37,8 +37,10 @@ let compute_bits (cfg : Mac_cfg.Cfg.t) =
   let block_sites =
     Array.make (Array.length cfg.blocks) ([] : (Reg.t * int) list)
   in
+  let block_base = Array.make (Array.length cfg.blocks) 0 in
   Array.iteri
     (fun bi (b : Mac_cfg.Cfg.block) ->
+      block_base.(bi) <- !nsites;
       let acc = ref [] in
       List.iter
         (fun (i : Rtl.inst) ->
@@ -92,8 +94,8 @@ let compute_bits (cfg : Mac_cfg.Cfg.t) =
         outb = Array.map force sol.Dataflow.outb;
       };
     site_uid;
+    block_base;
     sites_of_reg;
-    nsites;
   }
 
 let compute (cfg : Mac_cfg.Cfg.t) =
@@ -111,47 +113,42 @@ let uids_of_bits bits bv =
 
 let reach_in t b = uids_of_bits t.bits t.bits.sol.Dataflow.inb.(b)
 
-let defs_of_reg_reaching t ~block ~before r =
-  let insts = t.cfg.blocks.(block).insts in
-  if not (List.exists (fun (i : Rtl.inst) -> i.uid = before.Rtl.uid) insts)
-  then raise Not_found;
+(* A program point inside {!fold_block}'s walk: the working reach
+   vector, valid only during the callback it is handed to. *)
+type point = { pbits : bits; reach : Bitv.t }
+
+let reaches p r =
+  match Reg.Tbl.find_opt p.pbits.sites_of_reg r with
+  | Some m -> Bitv.intersects p.reach m
+  | None -> false
+
+let defs_at p r =
+  match Reg.Tbl.find_opt p.pbits.sites_of_reg r with
+  | Some m ->
+    let v = Bitv.copy p.reach in
+    ignore (Bitv.inter_into ~into:v m);
+    uids_of_bits p.pbits v
+  | None -> IntSet.empty
+
+(* One forward walk per block on a single working vector. Site numbering
+   is in body order, so the per-instruction transfer is: kill the
+   defined registers' sites, set the instruction's own. *)
+let fold_block t b ~init ~f =
   let bits = t.bits in
-  (* Walk the block on a scratch vector up to [before], then mask to
-     [r]'s definition sites. Site numbering is in body order, so the
-     per-instruction transfer is: kill the defined registers' sites,
-     set the instruction's own. *)
-  let reach = Bitv.copy bits.sol.Dataflow.inb.(block) in
-  (* Recover each instruction's site indices by re-walking the same
-     order [compute_bits] numbered them in: params first, then blocks
-     in order. Count the sites of the blocks before this one. *)
-  let site = ref (List.length t.cfg.func.params) in
-  for b' = 0 to block - 1 do
-    List.iter
-      (fun (i : Rtl.inst) ->
-        site := !site + List.length (Rtl.defs i.kind))
-      t.cfg.blocks.(b').insts
-  done;
-  (try
-     List.iter
-       (fun (i : Rtl.inst) ->
-         if i.uid = before.Rtl.uid then raise Exit;
-         List.iter
-           (fun dr ->
-             (match Reg.Tbl.find_opt bits.sites_of_reg dr with
-             | Some m -> ignore (Bitv.diff_into ~into:reach m)
-             | None -> ());
-             Bitv.set reach !site;
-             incr site)
-           (Rtl.defs i.kind))
-       insts
-   with Exit -> ());
-  let masked =
-    match Reg.Tbl.find_opt bits.sites_of_reg r with
-    | Some m ->
-      ignore (Bitv.inter_into ~into:reach m);
-      reach
-    | None -> Bitv.create bits.nsites
-  in
-  uids_of_bits bits masked
+  let p = { pbits = bits; reach = Bitv.copy bits.sol.Dataflow.inb.(b) } in
+  let site = ref bits.block_base.(b) in
+  List.fold_left
+    (fun acc (i : Rtl.inst) ->
+      let acc = f acc i p in
+      List.iter
+        (fun dr ->
+          (match Reg.Tbl.find_opt bits.sites_of_reg dr with
+          | Some m -> ignore (Bitv.diff_into ~into:p.reach m)
+          | None -> ());
+          Bitv.set p.reach !site;
+          incr site)
+        (Rtl.defs i.kind);
+      acc)
+    init t.cfg.blocks.(b).insts
 
 let def_inst t uid = Hashtbl.find_opt t.by_uid uid

@@ -16,11 +16,22 @@ val compute : Mac_cfg.Cfg.t -> t
 val reach_in : t -> int -> IntSet.t
 (** Uids of definitions reaching block entry. *)
 
-val defs_of_reg_reaching : t -> block:int -> before:Rtl.inst -> Reg.t ->
-  IntSet.t
-(** The uids of the definitions of one register that reach the program
-    point just before [before] (which must belong to [block]). Raises
-    [Not_found] if [before] is not in the block. *)
+type point
+(** A program point inside a {!fold_block} walk. *)
+
+val fold_block :
+  t -> int -> init:'a -> f:('a -> Rtl.inst -> point -> 'a) -> 'a
+(** [fold_block t b ~init ~f] visits block [b]'s instructions in body
+    order, calling [f acc i p] where [p] is the point just before [i].
+    The point is valid {e only for the duration of that call} (one working
+    vector is transferred in place, so the whole block costs one copy). *)
+
+val reaches : point -> Reg.t -> bool
+(** Whether some definition of the register (a parameter pseudo-definition
+    included) reaches the point. Allocation-free. *)
+
+val defs_at : point -> Reg.t -> IntSet.t
+(** The uids of the definitions of one register that reach the point. *)
 
 val def_inst : t -> int -> Rtl.inst option
 (** Look an instruction up by defining uid ([None] for parameter

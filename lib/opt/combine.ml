@@ -106,5 +106,17 @@ let run (f : Func.t) =
   in
   List.iter process f.body;
   flush_all ();
-  if !changed then Func.set_body f (List.rev !out);
-  !changed
+  (* A lone [r = r + c] that is deferred and re-materialised at the same
+     place comes back under a fresh uid with the same kind; reporting that
+     as a change would keep the classic round loop from ever reaching its
+     fixpoint. Only a different kind sequence counts. *)
+  let out = List.rev !out in
+  let changed =
+    !changed
+    && not
+         (List.equal
+            (fun (a : Rtl.inst) (b : Rtl.inst) -> a.kind = b.kind)
+            out f.body)
+  in
+  if changed then Func.set_body f out;
+  changed

@@ -19,4 +19,5 @@
 open Mac_rtl
 
 val run : Func.t -> bool
-(** Rewrite in place; returns [true] if anything changed. *)
+(** Rewrite in place; returns [true] exactly when the instruction-kind
+    sequence changed. Otherwise [f.body] (uids included) is untouched. *)

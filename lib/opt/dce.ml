@@ -58,49 +58,34 @@ let once am (f : Func.t) =
    whose only definition is the register itself; all such instructions can
    go at once. *)
 let remove_faint (f : Func.t) =
-  let params = Reg.Set.of_list f.params in
-  let used_by : Rtl.inst list Reg.Tbl.t = Reg.Tbl.create 16 in
+  (* One scan marks every register that is not faint: a parameter, or
+     one used by an instruction other than a pure definition of itself.
+     Register ids are dense below [next_reg]. *)
+  let kept = Array.make f.next_reg false in
+  List.iter (fun r -> if Reg.id r < f.next_reg then kept.(Reg.id r) <- true)
+    f.params;
+  let self_def (i : Rtl.inst) =
+    if Rtl.has_side_effect i.kind then None
+    else match Rtl.defs i.kind with [ d ] -> Some d | _ -> None
+  in
   List.iter
     (fun (i : Rtl.inst) ->
+      let d = self_def i in
       List.iter
         (fun r ->
-          Reg.Tbl.replace used_by r
-            (i :: Option.value (Reg.Tbl.find_opt used_by r) ~default:[]))
+          match d with
+          | Some d when Reg.equal d r -> ()
+          | _ -> kept.(Reg.id r) <- true)
         (Rtl.uses i.kind))
     f.body;
-  let faint r =
-    (not (Reg.Set.mem r params))
-    && List.for_all
-         (fun (i : Rtl.inst) ->
-           (not (Rtl.has_side_effect i.kind))
-           && match Rtl.defs i.kind with
-              | [ d ] -> Reg.equal d r
-              | _ -> false)
-         (Option.value (Reg.Tbl.find_opt used_by r) ~default:[])
+  let is_dead_inst i =
+    match self_def i with Some d -> not kept.(Reg.id d) | None -> false
   in
-  let all_regs =
-    List.concat_map
-      (fun (i : Rtl.inst) -> Rtl.defs i.kind @ Rtl.uses i.kind)
-      f.body
-    |> List.sort_uniq Reg.compare
-  in
-  let dead_regs = List.filter faint all_regs in
-  if dead_regs = [] then false
-  else begin
-    let is_dead_inst (i : Rtl.inst) =
-      (not (Rtl.has_side_effect i.kind))
-      &&
-      match Rtl.defs i.kind with
-      | [ d ] -> List.exists (Reg.equal d) dead_regs
-      | _ -> false
-    in
-    let body' = List.filter (fun i -> not (is_dead_inst i)) f.body in
-    if List.length body' <> List.length f.body then begin
-      Func.set_body f body';
-      true
-    end
-    else false
+  if List.exists is_dead_inst f.body then begin
+    Func.set_body f (List.filter (fun i -> not (is_dead_inst i)) f.body);
+    true
   end
+  else false
 
 let run ?am (f : Func.t) =
   let am =

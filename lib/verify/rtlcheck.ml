@@ -132,21 +132,16 @@ let flow_checks am ~pass (f : Func.t) =
   Array.iter
     (fun (b : Cfg.block) ->
       if reachable.(b.index) then
-        List.iter
-          (fun (i : Rtl.inst) ->
+        Reaching.fold_block reaching b.index ~init:()
+          ~f:(fun () (i : Rtl.inst) here ->
             List.iter
               (fun r ->
-                let defs =
-                  Reaching.defs_of_reg_reaching reaching ~block:b.index
-                    ~before:i r
-                in
-                if Reaching.IntSet.is_empty defs && not (entry_ok r) then
+                if (not (Reaching.reaches here r)) && not (entry_ok r) then
                   add
                     (Diagnostic.errorf ~pass ~uid:i.uid
                        "use of undefined register %s in %s" (Reg.to_string r)
                        (Rtl.to_string i.kind)))
-              (Rtl.uses i.kind))
-          b.insts)
+              (Rtl.uses i.kind)))
     cfg.blocks;
   (* A register live into the entry that is not supplied from outside is
      read before being written on some path. Registers that are never

@@ -32,130 +32,8 @@ type result = {
 let snapshot (f : Func.t) = { f with Func.name = f.Func.name }
 
 (* ------------------------------------------------------------------ *)
-(* Available equalities at block entry of the old function. A fact
-   [(d, rhs)] at a block's entry means the register [d] currently holds
-   the value of [rhs] over the {e current} values of its operand
-   registers — exactly the justification CSE and copy propagation use
-   when they reuse a value across a block boundary. Facts die when the
-   defined register or an operand is redefined; load facts die at every
-   store; calls kill everything. *)
-
-type akey =
-  | AMove of Rtl.operand
-  | ABin of Rtl.binop * Rtl.operand * Rtl.operand
-  | AUn of Rtl.unop * Rtl.operand
-  | ALoad of Rtl.mem * Rtl.signedness
-  | AExt of Reg.t * Rtl.operand * Width.t * Rtl.signedness
-
-module FactSet = Set.Make (struct
-  type t = int * akey
-
-  let compare = Stdlib.compare
-end)
-
-let akey_regs = function
-  | AMove (Rtl.Reg r) -> [ r ]
-  | AMove (Rtl.Imm _) -> []
-  | ABin (_, a, b) ->
-    List.filter_map (function Rtl.Reg r -> Some r | _ -> None) [ a; b ]
-  | AUn (_, Rtl.Reg r) -> [ r ]
-  | AUn (_, Rtl.Imm _) -> []
-  | ALoad (m, _) -> [ m.Rtl.base ]
-  | AExt (src, pos, _, _) -> (
-    src :: (match pos with Rtl.Reg r -> [ r ] | Rtl.Imm _ -> []))
-
-let is_load_key = function ALoad _ -> true | _ -> false
-
-let gen_fact (i : Rtl.inst) =
-  let ok d key = not (List.exists (Reg.equal d) (akey_regs key)) in
-  match i.kind with
-  | Rtl.Move (d, o) ->
-    let k = AMove o in
-    if ok d k then Some (d, k) else None
-  | Rtl.Binop (op, d, a, b) ->
-    let k = ABin (op, a, b) in
-    if ok d k then Some (d, k) else None
-  | Rtl.Unop (op, d, a) ->
-    let k = AUn (op, a) in
-    if ok d k then Some (d, k) else None
-  | Rtl.Load { dst; src; sign } ->
-    let k = ALoad (src, sign) in
-    if ok dst k then Some (dst, k) else None
-  | Rtl.Extract { dst; src; pos; width; sign } ->
-    let k = AExt (src, pos, width, sign) in
-    if ok dst k then Some (dst, k) else None
-  | _ -> None
-
-let fact_step s (i : Rtl.inst) =
-  let s =
-    match i.kind with
-    | Rtl.Store _ -> FactSet.filter (fun (_, k) -> not (is_load_key k)) s
-    | Rtl.Call _ -> FactSet.empty
-    | _ -> s
-  in
-  let ds = Rtl.defs i.kind in
-  let s =
-    if ds = [] then s
-    else
-      FactSet.filter
-        (fun (d, k) ->
-          not
-            (List.exists
-               (fun r ->
-                 Reg.id r = d || List.exists (Reg.equal r) (akey_regs k))
-               ds))
-        s
-  in
-  match gen_fact i with
-  | Some (d, k) -> FactSet.add (Reg.id d, k) s
-  | None -> s
-
-(* forward must-analysis: in = ∩ preds out, out = transfer (in) *)
-let solve_avail (cfg : Cfg.t) =
-  let n = Array.length cfg.blocks in
-  let universe =
-    List.fold_left
-      (fun s i ->
-        match gen_fact i with
-        | Some (d, k) -> FactSet.add (Reg.id d, k) s
-        | None -> s)
-      FactSet.empty cfg.func.Func.body
-  in
-  let inb = Array.make n FactSet.empty in
-  let outb = Array.make n universe in
-  let entry = Cfg.entry cfg in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun (b : Cfg.block) ->
-        let i = b.index in
-        let in_ =
-          if i = entry then FactSet.empty
-          else
-            match cfg.pred.(i) with
-            | [] -> FactSet.empty
-            | p :: ps ->
-              List.fold_left
-                (fun acc q -> FactSet.inter acc outb.(q))
-                outb.(p) ps
-        in
-        let out = List.fold_left fact_step in_ b.insts in
-        if
-          (not (FactSet.equal in_ inb.(i)))
-          || not (FactSet.equal out outb.(i))
-        then begin
-          inb.(i) <- in_;
-          outb.(i) <- out;
-          changed := true
-        end)
-      cfg.blocks
-  done;
-  inb
-
-(* ------------------------------------------------------------------ *)
 (* Entry-environment seeding. For the old block's entry we know (a) the
-   available equalities above and (b) the congruence solution: exact
+   available equalities ({!Avail}) and (b) the congruence solution: exact
    constants, and registers still holding [entry q + off]. Each fact is
    expanded into a term over entry symbols; every register's candidates
    collapse to one canonical choice (smallest term), and both sides are
@@ -164,7 +42,7 @@ let solve_avail (cfg : Cfg.t) =
 
 let seed_env ctx ~avail ~cong_st ~regs =
   let facts_of = Hashtbl.create 16 in
-  FactSet.iter
+  List.iter
     (fun (d, k) ->
       Hashtbl.replace facts_of d
         (k :: Option.value (Hashtbl.find_opt facts_of d) ~default:[]))
@@ -182,10 +60,10 @@ let seed_env ctx ~avail ~cong_st ~regs =
           | Rtl.Imm i -> Sx.Con i
         in
         let of_key = function
-          | AMove o -> operand o
-          | ABin (op, a, b) -> Sx.bin ctx op (operand a) (operand b)
-          | AUn (op, a) -> Sx.un ctx op (operand a)
-          | ALoad (m, sign) ->
+          | Avail.AMove o -> operand o
+          | Avail.ABin (op, a, b) -> Sx.bin ctx op (operand a) (operand b)
+          | Avail.AUn (op, a) -> Sx.un ctx op (operand a)
+          | Avail.ALoad (m, sign) ->
             let a =
               Sx.bin ctx Rtl.Add (term_of seen m.Rtl.base)
                 (Sx.Con m.Rtl.disp)
@@ -197,7 +75,7 @@ let seed_env ctx ~avail ~cong_st ~regs =
                   (Sx.Con (Int64.of_int (-Width.bytes m.Rtl.width)))
             in
             Sx.read ctx (Sx.MSym Sx.MEntry) a m.Rtl.width sign
-          | AExt (src, pos, w, sign) ->
+          | Avail.AExt (src, pos, w, sign) ->
             Sx.ext ctx (term_of seen src) (operand pos) w sign
         in
         let cands =
@@ -511,7 +389,7 @@ type side_summary = {
   s_cfg : Cfg.t;
   s_deg : int array;
   s_cong : Congruence.t Lazy.t;
-  s_avail : FactSet.t array Lazy.t;
+  s_avail : Avail.t Lazy.t;
   s_live : Liveness.t Lazy.t;
 }
 
@@ -581,7 +459,7 @@ let side_of cache ~(facts : Disambig.facts) (f : Func.t) =
         s_cfg = cfg;
         s_deg = effective_indegree cfg;
         s_cong = lazy (Congruence.solve ~consts:facts.Disambig.values cfg);
-        s_avail = lazy (solve_avail cfg);
+        s_avail = lazy (Avail.solve cfg);
         s_live = lazy (Liveness.compute cfg);
       }
     in
@@ -834,10 +712,9 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
           let state_ok =
             structural
             || Sx.equal_mem ox.x_env.Sx.mem nx.x_env.Sx.mem
-               && Reg.Set.for_all
+               && Liveness.for_all_live_out (Lazy.force nsum.s_live) nb
                     (fun r ->
                       Sx.equal (Sx.lookup ox.x_env r) (Sx.lookup nx.x_env r))
-                    (Liveness.live_out (Lazy.force nsum.s_live) nb)
           in
           if events_ok && state_ok then Some ps else None
       in
@@ -920,7 +797,8 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
                   machine.Mac_machine.Machine.word
               in
               let env0 =
-                seed_env ctx ~avail:(Lazy.force osum.s_avail).(ob)
+                seed_env ctx
+                  ~avail:(Avail.entry_facts (Lazy.force osum.s_avail) ob)
                   ~cong_st:st ~regs:(Lazy.force reg_universe)
               in
               match

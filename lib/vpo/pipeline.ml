@@ -107,7 +107,10 @@ let timed timings name thunk =
    them with a statically known [preserves] set — Simplify folds branches
    and Cleanflow rewrites labels/jumps (nothing survives), while Cse and
    Combine only remove or rewrite plain instructions (the block structure,
-   hence dominators and loops, survives). *)
+   hence dominators and loops, survives). The rounds stop at the first one
+   in which no pass reports a change, and [tv] validates only the passes
+   that report one, so a pass must return [true] exactly when its
+   instruction kinds changed. *)
 let classic_rounds ?(tv = fun _name run -> run ()) am time (f : Func.t) =
   let dl = [ Analysis.Dom; Analysis.Loops ] in
   let pass name ~preserves run =

@@ -77,6 +77,21 @@ let test_dead_def_not_live () =
       (Reg.Set.mem (reg 2) after0)
   | [] -> Alcotest.fail "empty block"
 
+(* The definitions of [r] reaching the point just before [before], read
+   through the per-block walk; its allocation-free [reaches] must agree. *)
+let defs_before reach ~block ~(before : Rtl.inst) r =
+  match
+    Reaching.fold_block reach block ~init:None ~f:(fun acc i here ->
+        if i.Rtl.uid = before.Rtl.uid then
+          Some (Reaching.defs_at here r, Reaching.reaches here r)
+        else acc)
+  with
+  | Some (defs, reaches) ->
+    Alcotest.(check bool) "reaches = some def reaches"
+      (not (Reaching.IntSet.is_empty defs)) reaches;
+    defs
+  | None -> Alcotest.fail "instruction not in block"
+
 let test_reaching_defs () =
   let f =
     func_of
@@ -94,9 +109,7 @@ let test_reaching_defs () =
   let r = Reaching.compute cfg in
   let join = Option.get (Cfg.block_of_label cfg "Lj") in
   let ret_inst = List.hd (List.rev f.body) in
-  let defs =
-    Reaching.defs_of_reg_reaching r ~block:join ~before:ret_inst (reg 2)
-  in
+  let defs = defs_before r ~block:join ~before:ret_inst (reg 2) in
   Alcotest.(check int) "both definitions of r2 reach the join" 2
     (Reaching.IntSet.cardinal defs);
   (* each reaching def is a Move *)
@@ -113,7 +126,7 @@ let test_reaching_params () =
   let cfg = Cfg.build f in
   let r = Reaching.compute cfg in
   let ret_inst = List.hd f.body in
-  let defs = Reaching.defs_of_reg_reaching r ~block:0 ~before:ret_inst (reg 0) in
+  let defs = defs_before r ~block:0 ~before:ret_inst (reg 0) in
   Alcotest.(check (list int)) "parameter pseudo-def" [ Reaching.param_uid (reg 0) ]
     (Reaching.IntSet.elements defs)
 
@@ -141,10 +154,7 @@ let test_reaching_loop_carried () =
         match i.kind with Mac_rtl.Rtl.Binop _ -> true | _ -> false)
       cfg.blocks.(loop_block).insts
   in
-  let defs =
-    Reaching.defs_of_reg_reaching r ~block:loop_block ~before:first_inst
-      (reg 2)
-  in
+  let defs = defs_before r ~block:loop_block ~before:first_inst (reg 2) in
   Alcotest.(check int) "init + loop def both reach" 2
     (Reaching.IntSet.cardinal defs)
 
@@ -379,20 +389,26 @@ let check_reaching_equal f cfg =
           (Reaching.IntSet.equal (Reaching.reach_in reach b)
              oracle.Dataflow.inb.(b))
       then QCheck.Test.fail_reportf "reach_in differs at block %d" b;
-      List.iter
-        (fun i ->
-          List.iter
-            (fun r ->
-              let got = Reaching.defs_of_reg_reaching reach ~block:b ~before:i r
-              and want =
-                Oracle.defs_of_reg_reaching cfg oracle ~block:b ~before:i r
-              in
-              if not (Reaching.IntSet.equal got want) then
-                QCheck.Test.fail_reportf
-                  "defs_of_reg_reaching differs at block %d reg %d" b
-                  (Reg.id r))
-            regs)
-        blk.Cfg.insts)
+      let visited =
+        Reaching.fold_block reach b ~init:[] ~f:(fun acc i here ->
+            List.iter
+              (fun r ->
+                let got = Reaching.defs_at here r
+                and want =
+                  Oracle.defs_of_reg_reaching cfg oracle ~block:b ~before:i r
+                in
+                if not (Reaching.IntSet.equal got want) then
+                  QCheck.Test.fail_reportf
+                    "defs_at differs at block %d reg %d" b (Reg.id r);
+                if Reaching.reaches here r = Reaching.IntSet.is_empty want
+                then
+                  QCheck.Test.fail_reportf
+                    "reaches differs at block %d reg %d" b (Reg.id r))
+              regs;
+            i.Rtl.uid :: acc)
+      in
+      if List.rev visited <> List.map (fun i -> i.Rtl.uid) blk.Cfg.insts then
+        QCheck.Test.fail_reportf "fold_block visit order differs at block %d" b)
     cfg.Cfg.blocks
 
 let check_copies_equal f cfg =

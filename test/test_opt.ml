@@ -923,6 +923,33 @@ let test_combine_redefinition_drops () =
   Alcotest.(check int64) "redefined value wins" 99L
     (exec ~args:[ 1L; 99L ] f)
 
+(* A loop whose lone counter increment sits just before the back branch:
+   the increment is deferred and re-materialised at the same place, so
+   nothing changes, and the pass must say so and keep the uids. *)
+let test_combine_lone_increment_unchanged () =
+  let mem d r = { Rtl.base = r; disp = Int64.of_int d; width = Width.W8;
+                  aligned = true } in
+  let f =
+    func_of ~params:[ reg 0; reg 1 ]
+      [
+        Rtl.Move (reg 2, Rtl.Imm 0L);
+        Rtl.Label "L";
+        Rtl.Load { dst = reg 3; src = mem 0 (reg 0); sign = Rtl.Unsigned };
+        Rtl.Binop (Rtl.Add, reg 2, Rtl.Reg (reg 2), Rtl.Reg (reg 3));
+        Rtl.Binop (Rtl.Add, reg 1, Rtl.Reg (reg 1), Rtl.Imm (-1L));
+        Rtl.Branch
+          { cmp = Rtl.Gt; l = Rtl.Reg (reg 1); r = Rtl.Imm 0L;
+            target = "L" };
+        Rtl.Ret (Some (Rtl.Reg (reg 2)));
+      ]
+  in
+  let before = f.body in
+  Alcotest.(check bool) "no change reported" false (Mac_opt.Combine.run f);
+  Alcotest.(check bool) "body physically unchanged" true (f.body == before);
+  Alcotest.(check (list int)) "uids kept"
+    (List.map (fun (i : Rtl.inst) -> i.uid) before)
+    (List.map (fun (i : Rtl.inst) -> i.uid) f.body)
+
 (* --- schedule pass --- *)
 
 let test_schedule_pass_preserves_semantics () =
@@ -1216,6 +1243,45 @@ let prop_pass_semantics =
     per_pass_property "strength" (fun f -> ignore (Mac_opt.Strength.run f));
     per_pass_property "regalloc8"
       (fun f -> ignore (Mac_opt.Regalloc.run f ~num_regs:8 ~machine:Machine.test32));
+  ]
+
+(* The round loop stops on the classic passes' changed flags and the
+   validator skips the passes that report none, so each pass must return
+   [true] exactly when the instruction-kind sequence changed, and leave
+   the body physically alone when it returns [false]. A second run over
+   the pass's own output probes the near-fixpoint inputs the round loop
+   feeds it. *)
+let honest_change_property name pass =
+  QCheck.Test.make
+    ~name:(name ^ " reports changes honestly")
+    ~count:150 random_branchy_func
+    (fun f ->
+      let g = clone_branchy f in
+      let kinds body = List.map (fun (i : Rtl.inst) -> i.Rtl.kind) body in
+      let run () =
+        let before = g.body in
+        let changed = pass g in
+        let kinds_changed = kinds before <> kinds g.body in
+        if changed <> kinds_changed then
+          QCheck.Test.fail_reportf "%s returned %b but the kinds %s" name
+            changed
+            (if kinds_changed then "changed" else "did not change");
+        if (not changed) && g.body != before then
+          QCheck.Test.fail_reportf "%s returned false but replaced the body"
+            name
+      in
+      run ();
+      run ();
+      true)
+
+let prop_honest_change =
+  [
+    honest_change_property "simplify" Mac_opt.Simplify.run;
+    honest_change_property "copyprop" (fun f -> Mac_opt.Copyprop.run f);
+    honest_change_property "cse" Mac_opt.Cse.run;
+    honest_change_property "combine" Mac_opt.Combine.run;
+    honest_change_property "cleanflow" Mac_opt.Cleanflow.run;
+    honest_change_property "dce" (fun f -> Mac_opt.Dce.run f);
   ]
 
 (* Scheduler: any reordering it produces leaves execution results
@@ -1519,6 +1585,8 @@ let () =
             test_combine_flushes_at_branch;
           Alcotest.test_case "redefinition drops" `Quick
             test_combine_redefinition_drops;
+          Alcotest.test_case "lone increment unchanged" `Quick
+            test_combine_lone_increment_unchanged;
         ] );
       ( "schedule",
         [
@@ -1561,5 +1629,5 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           ([ prop_classic_opts_preserve_semantics; prop_sched_reorder_safe;
              prop_unroll_any_factor ]
-          @ prop_pass_semantics) );
+          @ prop_pass_semantics @ prop_honest_change) );
     ]

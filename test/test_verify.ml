@@ -499,6 +499,41 @@ let test_tvalid_grid_clean () =
         [ Pipeline.O2; Pipeline.O3; Pipeline.O4 ])
     [ Machine.alpha; Machine.mc88100; Machine.mc68030 ]
 
+(* The classic round loop stops on combine's changed flag, and the
+   validator runs only for passes that report a change: no validation of
+   combine may see an old/new pair with the same instruction kinds. *)
+let test_combine_validations_see_changes () =
+  let seen = ref 0 in
+  let kinds (f : Func.t) = List.map (fun (i : Rtl.inst) -> i.Rtl.kind) f.body in
+  Fun.protect
+    ~finally:(fun () -> Pipeline.test_observe := None)
+    (fun () ->
+      List.iter
+        (fun machine ->
+          List.iter
+            (fun level ->
+              List.iter
+                (fun (b : W.t) ->
+                  Pipeline.test_observe :=
+                    Some
+                      (fun ~pass ~fname ~old_f ~new_f ->
+                        if String.equal pass "combine" then begin
+                          incr seen;
+                          if kinds old_f = kinds new_f then
+                            Alcotest.failf
+                              "%s/%s/%s: combine validated an unchanged %s"
+                              b.W.name machine.Machine.name
+                              (Pipeline.level_to_string level) fname
+                        end);
+                  ignore
+                    (Pipeline.compile_source
+                       (Pipeline.config ~level ~verify:Pipeline.Vfull machine)
+                       b.W.source))
+                (W.dotproduct :: W.all))
+            [ Pipeline.O1; Pipeline.O2; Pipeline.O3; Pipeline.O4 ])
+        [ Machine.alpha; Machine.mc88100; Machine.mc68030 ]);
+  Alcotest.(check bool) "combine validations observed" true (!seen > 0)
+
 (* Spilling under register pressure (params live across the loop, frame
    pointer introduced) must flow through the validator: regalloc renames
    wholesale, so it is recorded as an audited fallback, never silently
@@ -755,6 +790,116 @@ let test_tvalid_mutation_adversary_memoized () =
   Alcotest.(check bool) "shared cache audits clean after the gauntlet" true
     (Tvalid.cache_audit cache = Ok ())
 
+(* --- available equalities ------------------------------------------- *)
+
+(* Random control flow for the available-equality solver: up to six
+   labelled blocks of moves, ALU ops, loads, stores, extracts and calls
+   over r0..r5, each ending in a fall-through, a return, or a jump or
+   branch to a random block; half the functions also end in an
+   unreachable self-looping block, which the all-blocks sweep visits
+   too. *)
+let gen_avail_func =
+  let open QCheck.Gen in
+  let r = map Reg.make (int_bound 5) in
+  let operand =
+    oneof
+      [ map (fun r -> Rtl.Reg r) r;
+        map (fun v -> Rtl.Imm (Int64.of_int v)) (int_bound 9) ]
+  in
+  let mem =
+    map2
+      (fun base slot ->
+        { Rtl.base; disp = Int64.of_int (8 * slot); width = Width.W64;
+          aligned = true })
+      r (int_bound 2)
+  in
+  let inst =
+    frequency
+      [
+        (3, map2 (fun d o -> Rtl.Move (d, o)) r operand);
+        ( 4,
+          map3
+            (fun (op, d) a b -> Rtl.Binop (op, d, a, b))
+            (pair (oneofl [ Rtl.Add; Rtl.Sub; Rtl.Mul ]) r)
+            operand operand );
+        (1, map2 (fun d a -> Rtl.Unop (Rtl.Neg, d, a)) r operand);
+        ( 2,
+          map3
+            (fun dst src sign -> Rtl.Load { dst; src; sign })
+            r mem
+            (oneofl [ Rtl.Signed; Rtl.Unsigned ]) );
+        (2, map2 (fun src dst -> Rtl.Store { src; dst }) operand mem);
+        ( 1,
+          map3
+            (fun dst src pos ->
+              Rtl.Extract
+                { dst; src; pos; width = Width.W8; sign = Rtl.Unsigned })
+            r r operand );
+        ( 1,
+          map2
+            (fun d args -> Rtl.Call { dst = Some d; func = "g"; args })
+            r
+            (list_size (int_bound 2) operand) );
+      ]
+  in
+  let* nblocks = int_range 1 6 in
+  let* blocks =
+    list_repeat nblocks
+      (triple
+         (list_size (int_bound 4) inst)
+         (frequency
+            [
+              (2, return None);
+              (1, return (Some None));
+              (3, map (fun k -> Some (Some k)) (int_bound (nblocks - 1)));
+            ])
+         bool)
+  in
+  let* dead = opt (list_size (int_bound 3) inst) in
+  return
+    (let f = Func.create ~name:"t" ~params:[ reg 0; reg 1 ] in
+     List.iteri
+       (fun bi (insts, term, branchy) ->
+         Func.append f (Rtl.Label (Printf.sprintf "L%d" bi));
+         List.iter (Func.append f) insts;
+         match term with
+         | None -> ()
+         | Some None -> Func.append f (Rtl.Ret (Some (Rtl.Reg (reg 0))))
+         | Some (Some k) ->
+           let target = Printf.sprintf "L%d" k in
+           Func.append f
+             (if branchy then
+                Rtl.Branch
+                  { cmp = Rtl.Gt; l = Rtl.Reg (reg 1); r = Rtl.Imm 0L;
+                    target }
+              else Rtl.Jump target))
+       blocks;
+     Func.append f (Rtl.Ret (Some (Rtl.Reg (reg 0))));
+     (match dead with
+     | Some insts ->
+       Func.append f (Rtl.Label "Ldead");
+       List.iter (Func.append f) insts;
+       Func.append f (Rtl.Jump "Ldead")
+     | None -> ());
+     f)
+
+let prop_avail_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"avail: bitvec entry facts = set reference on random CFGs"
+    (QCheck.make ~print:Func.to_string gen_avail_func)
+    (fun f ->
+      let cfg = Mac_cfg.Cfg.build f in
+      let got = Mac_verify.Avail.solve cfg
+      and want = Avail_oracle.solve_avail cfg in
+      Array.iteri
+        (fun b oracle ->
+          if
+            Mac_verify.Avail.entry_facts got b
+            <> Avail_oracle.FactSet.elements oracle
+          then QCheck.Test.fail_reportf "entry facts differ at block %d" b)
+        want;
+      true)
+
 (* --- cross-pass memoization ------------------------------------------ *)
 
 (* Verdict identity: the memo is content-addressed, so sharing one cache
@@ -885,9 +1030,12 @@ let () =
             test_tvalid_pipeline_sched_regions;
           Alcotest.test_case "grid clean at Vfull" `Slow
             test_tvalid_grid_clean;
+          Alcotest.test_case "combine validations see real changes" `Quick
+            test_combine_validations_see_changes;
           Alcotest.test_case "mutation adversary rejects all mutants" `Slow
             test_tvalid_mutation_adversary;
         ] );
+      ( "avail", [ QCheck_alcotest.to_alcotest prop_avail_matches_oracle ] );
       ( "tvalid memo",
         [
           QCheck_alcotest.to_alcotest prop_tvalid_memo_verdict_identical;

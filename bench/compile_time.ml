@@ -5,20 +5,15 @@
 
      dune exec bench/compile_time.exe [-- reps]
 
-   The configuration mirrors Tables: forced coalescing (profitability
-   gate and I-cache guard off), coalesce-first, alpha. *)
+   The configuration is Tables' forced one (profitability gate and
+   I-cache guard off) on the alpha. *)
 
 module Pipeline = Mac_vpo.Pipeline
 module Machine = Mac_machine.Machine
 
 let levels = Pipeline.[ O1; O2; O3; O4 ]
 
-let coalesce =
-  {
-    Mac_core.Coalesce.default with
-    respect_profitability = false;
-    icache_guard = false;
-  }
+let at level = { (Mac_workloads.Tables.paper Machine.alpha) with level }
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -27,15 +22,11 @@ let time f =
 
 let () =
   let reps = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 5 in
-  let machine = Machine.alpha in
   let benches = Mac_workloads.Workloads.all in
   (* warm up the minor heap / code paths once *)
   List.iter
     (fun (b : Mac_workloads.Workloads.t) ->
-      ignore
-        (Pipeline.compile_source
-           (Pipeline.config ~level:O4 ~coalesce machine)
-           b.source))
+      ignore (Pipeline.compile_source (at O4) b.source))
     benches;
   let total = ref 0.0 in
   Format.printf "@[<v>compile time (alpha, forced coalescing, %d reps)@," reps;
@@ -45,10 +36,7 @@ let () =
       let _, dt =
         time (fun () ->
             for _ = 1 to reps do
-              ignore
-                (Pipeline.compile_source
-                   (Pipeline.config ~level:O4 ~coalesce machine)
-                   b.source)
+              ignore (Pipeline.compile_source (at O4) b.source)
             done)
       in
       Format.printf "| %-12s | %10.2f |@," b.name (dt /. float_of_int reps *. 1e3))
@@ -60,10 +48,7 @@ let () =
             for _ = 1 to reps do
               List.iter
                 (fun (b : Mac_workloads.Workloads.t) ->
-                  ignore
-                    (Pipeline.compile_source
-                       (Pipeline.config ~level ~coalesce machine)
-                       b.source))
+                  ignore (Pipeline.compile_source (at level) b.source))
                 benches
             done)
       in
@@ -79,11 +64,7 @@ let () =
   let agg : (string, float) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (b : Mac_workloads.Workloads.t) ->
-      let c =
-        Pipeline.compile_source
-          (Pipeline.config ~level:O4 ~coalesce machine)
-          b.source
-      in
+      let c = Pipeline.compile_source (at O4) b.source in
       List.iter
         (fun (name, s) ->
           Hashtbl.replace agg name

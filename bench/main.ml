@@ -57,8 +57,12 @@ let fig1 () =
   let refs =
     Pool.map ~jobs
       (fun level ->
-        let o = W.run ~size:4096 ~machine:Machine.alpha ~level W.dotproduct in
-        o.metrics.loads + o.metrics.stores)
+        let m =
+          (W.run ~size:4096 (Pipeline.config ~level Machine.alpha)
+             W.dotproduct)
+            .result.metrics
+        in
+        m.loads + m.stores)
       Pipeline.[ O2; O4 ]
   in
   let base, coal =
@@ -77,7 +81,7 @@ let fig1 () =
 
 let table id machine note =
   section id (Printf.sprintf "%s (%dx%d images)" note size size);
-  let rows = Tables.table ~size ~jobs ~machine () in
+  let rows = Tables.table ~size ~jobs (Tables.paper machine) in
   Fmt.pr "%a@." (fun ppf r -> Tables.pp_table ppf machine r) rows;
   rows
 
@@ -92,10 +96,7 @@ let sched_table machine note =
   section "SCHED"
     (Printf.sprintf "%s (%dx%d images, -Osched + Pipelined oracle)" note size
        size);
-  let rows =
-    Tables.table ~size ~jobs ~pipeline_sched:true
-      ~profit_mode:Mac_core.Profitability.Pipelined ~machine ()
-  in
+  let rows = Tables.table ~size ~jobs (Sweep.sched_config machine) in
   Fmt.pr "%a@." (fun ppf r -> Tables.pp_table ppf machine r) rows;
   rows
 
@@ -134,7 +135,7 @@ let speedup_tab2 parallel_jit_seconds =
     "Table II sweep: serial reference vs serial jit vs parallel jit";
   let serial engine =
     let t0 = now () in
-    ignore (Tables.table ~size ~jobs:1 ~engine ~machine:Machine.alpha ());
+    ignore (Tables.table ~size ~jobs:1 ~engine (Tables.paper Machine.alpha));
     now () -. t0
   in
   let serial_reference = serial `Reference in
@@ -168,25 +169,24 @@ let engines_check () =
   let outcomes =
     Pool.map ~jobs
       (fun engine ->
-        W.run ~size:64 ~engine ~machine:Machine.alpha ~level:Pipeline.O4
-          bench)
+        W.run ~size:64 ~engine (Pipeline.config Machine.alpha) bench)
       [ `Reference; `Jit ]
   in
   let r, j = match outcomes with [ r; j ] -> (r, j) | _ -> assert false in
   let check name (o : W.outcome) =
-    if not (Int64.equal o.W.value r.W.value) then
+    if not (Int64.equal o.result.value r.result.value) then
       failwith
         (Printf.sprintf "ENGINES: %s return value differs from reference"
            name);
-    if o.W.metrics <> r.W.metrics then
+    let m = o.result.metrics in
+    if m <> r.result.metrics then
       failwith
         (Printf.sprintf "ENGINES: %s metrics differ from reference" name);
-    if not o.W.correct then
+    if not o.correct then
       failwith (Printf.sprintf "ENGINES: %s output is wrong" name);
     Fmt.pr
       "%-9s cycles=%d insts=%d loads=%d stores=%d dcache=%d/%d ok@." name
-      o.W.metrics.cycles o.W.metrics.insts o.W.metrics.loads
-      o.W.metrics.stores o.W.metrics.dcache_hits o.W.metrics.dcache_misses
+      m.cycles m.insts m.loads m.stores m.dcache_hits m.dcache_misses
   in
   check "reference" r;
   check "jit" j;
@@ -222,7 +222,7 @@ let count_labels (o : W.outcome) prefix =
         && String.sub l 0 (String.length prefix) = prefix
       then acc + c
       else acc)
-    0 o.metrics.label_counts
+    0 o.result.metrics.label_counts
 
 let fig5 () =
   section "FIG5" "run-time alignment/alias dispatch (paper Fig. 5)";
@@ -237,8 +237,7 @@ let fig5 () =
   let outcomes =
     Pool.map ~jobs
       (fun (_, layout) ->
-        W.run ~layout ~size:64 ~machine:Machine.alpha ~level:Pipeline.O4
-          bench)
+        W.run ~layout ~size:64 (Pipeline.config Machine.alpha) bench)
       cases
   in
   List.iter2
@@ -321,9 +320,10 @@ let abl1 () =
   let cycles =
     Pool.map ~jobs
       (fun ((bench : W.t), legalize_first) ->
-        (W.run ~size:64 ~legalize_first ~machine:Machine.alpha
-           ~level:Pipeline.O4 bench)
-          .metrics.cycles)
+        (W.run ~size:64
+           (Pipeline.config ~legalize_first Machine.alpha)
+           bench)
+          .result.metrics.cycles)
       cells
   in
   let res = Array.of_list cycles in
@@ -415,12 +415,9 @@ let abl4 () =
   let cycles =
     Pool.map ~jobs
       (fun icache_guard ->
-        let coalesce =
-          { Coalesce.default with icache_guard; respect_profitability = false }
-        in
-        (W.run ~size:64 ~coalesce ~machine:Machine.mc68030
-           ~level:Pipeline.O4 bench)
-          .metrics.cycles)
+        let coalesce = { Tables.forced with icache_guard } in
+        (W.run ~size:64 (Pipeline.config ~coalesce Machine.mc68030) bench)
+          .result.metrics.cycles)
       [ true; false ]
   in
   let on, off = match cycles with [ a; b ] -> (a, b) | _ -> assert false in
@@ -446,9 +443,10 @@ let abl5 () =
     Array.of_list
       (Pool.map ~jobs
          (fun ((bench : W.t), level, strength_reduce) ->
-           (W.run ~size:64 ~strength_reduce ~machine:Machine.alpha ~level
+           (W.run ~size:64
+              (Pipeline.config ~level ~strength_reduce Machine.alpha)
               bench)
-             .metrics.cycles)
+             .result.metrics.cycles)
          cells)
   in
   List.iteri
@@ -467,15 +465,14 @@ let abl6 () =
   let outcomes =
     Pool.map ~jobs
       (fun ra ->
-        W.run ~size:64 ?regalloc:ra ~machine:Machine.alpha
-          ~level:Pipeline.O4 bench)
+        W.run ~size:64 (Pipeline.config ?regalloc:ra Machine.alpha) bench)
       configs
   in
   List.iter2
     (fun ra (o : W.outcome) ->
       Fmt.pr "%-10s %8d cycles%s@."
         (match ra with None -> "virtual" | Some k -> string_of_int k)
-        o.metrics.cycles
+        o.result.metrics.cycles
         (if o.correct then "" else "  WRONG OUTPUT"))
     configs outcomes
 
@@ -489,14 +486,15 @@ let abl7 () =
     Pool.map ~jobs
       (fun (_, remainder_loop) ->
         let coalesce = { Coalesce.default with remainder_loop } in
-        W.run ~size:65 ~coalesce ~machine:Machine.alpha ~level:Pipeline.O4
+        W.run ~size:65
+          (Pipeline.config ~coalesce Machine.alpha)
           (Option.get (W.find "image_add")))
       cases
   in
   List.iter2
     (fun (label, _) (o : W.outcome) ->
       Fmt.pr "%-10s %8d cycles  coalesced-loop=%-6d safe-loop=%-6d %s@."
-        label o.metrics.cycles (count_labels o "Lmain")
+        label o.result.metrics.cycles (count_labels o "Lmain")
         (count_labels o "Lsafe")
         (if o.correct then "output correct" else "WRONG OUTPUT"))
     cases outcomes
@@ -506,7 +504,8 @@ let abl8 () =
     "unrolling vs instruction-cache pressure (the paper's motivation for      the unroll guard), I-fetch modelled";
   let run machine icache_guard =
     let coalesce = { Coalesce.default with icache_guard } in
-    W.run ~size:64 ~coalesce ~model_icache:true ~machine ~level:Pipeline.O2
+    W.run ~size:64 ~model_icache:true
+      (Pipeline.config ~level:Pipeline.O2 ~coalesce machine)
       (Option.get (W.find "convolution"))
   in
   let outcomes =
@@ -524,7 +523,7 @@ let abl8 () =
     (fun i label ->
       let o : W.outcome = res.(i) in
       Fmt.pr "%-22s %9d cycles, %8d I-fetch miss(es) %s@." label
-        o.metrics.cycles o.metrics.icache_misses
+        o.result.metrics.cycles o.result.metrics.icache_misses
         (if o.correct then "" else "WRONG OUTPUT"))
     [ "guard on (stays rolled)"; "guard off (unrolled x4)" ];
   Fmt.pr
@@ -533,7 +532,7 @@ let abl8 () =
     (fun i label ->
       let o : W.outcome = res.(i + 2) in
       Fmt.pr "%-22s %9d cycles, %8d I-fetch miss(es) %s@." label
-        o.metrics.cycles o.metrics.icache_misses
+        o.result.metrics.cycles o.result.metrics.icache_misses
         (if o.correct then "" else "WRONG OUTPUT"))
     [ "guard on"; "guard off" ]
 
@@ -547,7 +546,7 @@ let full_pipeline () =
         (fun ((b : W.t), l, _) -> String.equal b.name bench.name && l = level)
         outs
     in
-    (o.W.metrics.cycles, o.W.correct)
+    (o.W.result.metrics.cycles, o.W.correct)
   in
   Fmt.pr "| %-12s | %10s | %10s | %10s | %6s |@." "program" "O2 unroll"
     "O3 loads" "O4 ld+st" "sv-all";
@@ -626,7 +625,6 @@ let bechamel_benches () =
         Test.make_grouped ~name:"verify"
           [
             verify_test "image_add/none" image_add_src Pipeline.Vnone;
-            verify_test "image_add/ir" image_add_src Pipeline.Vir;
             verify_test "image_add/full" image_add_src Pipeline.Vfull;
           ];
         Test.make_grouped ~name:"engine"

@@ -150,7 +150,14 @@ let jobs_arg =
 let table_arg =
   Arg.(value & flag
        & info [ "table" ]
-           ~doc:"Print the paper-style evaluation table for --machine:                  every built-in benchmark at O1..O4 at --size, fanned                  over --jobs domains. Combine with --force for the                  paper's measurement configuration.")
+           ~doc:"Print the paper-style evaluation table for --machine: \
+                 every built-in benchmark at O1..O4 at --size, fanned \
+                 over --jobs domains. Every other pipeline flag (--force, \
+                 --sched, --schedule, --strength-reduce, --regalloc, \
+                 --remainder, --profit-mode, --force-guards, \
+                 --assume-layout, --verify) applies to each cell; only \
+                 the level varies per column. Combine with --force for \
+                 the paper's measurement configuration.")
 
 let profile_arg =
   Arg.(value & flag
@@ -165,7 +172,12 @@ let profile_sim_arg =
 let estimate_arg =
   Arg.(value & flag
        & info [ "estimate" ]
-           ~doc:"Static estimation report for --bench: predict the                  benchmark's per-loop reuse profiles, miss counts and                  cycles without simulating, then run the simulator once                  and print the prediction next to the ground truth.")
+           ~doc:"Static estimation report for --bench: predict the \
+                 benchmark's per-loop reuse profiles, miss counts and \
+                 cycles without simulating, then run the simulator once \
+                 and print the prediction next to the ground truth. Every \
+                 pipeline flag applies, and the prediction and the \
+                 simulation cover the same compiled program.")
 
 let triage_arg =
   Arg.(value & flag
@@ -258,7 +270,7 @@ let verify_level_conv =
     match Pipeline.verify_level_of_string s with
     | Some v -> Ok v
     | None ->
-      Error (`Msg (Printf.sprintf "unknown verify level %S (none|ir|full)" s))
+      Error (`Msg (Printf.sprintf "unknown verify level %S (none|full)" s))
   in
   Arg.conv
     (parse, fun ppf v -> Fmt.string ppf (Pipeline.verify_level_to_string v))
@@ -266,7 +278,10 @@ let verify_level_conv =
 let verify_level_arg =
   Arg.(value & opt (some verify_level_conv) None
        & info [ "verify-level" ] ~docv:"LEVEL"
-           ~doc:"How much verification runs between passes: none, ir                  (Rtlcheck well-formedness only), or full (+ the coalescing                  audit). Overrides --verify.")
+           ~doc:"How much verification runs between passes: none, or \
+                 full (Rtlcheck well-formedness, per-pass translation \
+                 validation and the coalescing and schedule audits). \
+                 Overrides --verify.")
 
 let print_reports reports =
   List.iter
@@ -491,9 +506,11 @@ let main source bench machine level dump_rtl stats run args run_bench size
       profit_mode;
       force_guards }
   in
-  let config ?(facts = []) machine =
+  (* The one description of the compile: every mode below — table,
+     estimate, run-bench, differential, plain compile — receives it. *)
+  let cfg =
     Pipeline.config ~level ~coalesce ~strength_reduce ~schedule
-      ~pipeline_sched ?regalloc ~verify:vlevel ~facts machine
+      ~pipeline_sched ?regalloc ~verify:vlevel machine
   in
   (* O0-vs-level differential execution on the simulator, the last verifier
      layer; only meaningful for a workload with a reference harness. *)
@@ -506,10 +523,7 @@ let main source bench machine level dump_rtl stats run args run_bench size
       0
     end
     else begin
-      let d =
-        W.differential ~size ~coalesce ~strength_reduce ~schedule
-          ~pipeline_sched ~verify:vlevel ~engine ~machine ~level b
-      in
+      let d = W.differential ~size ~assume_layout ~engine cfg b in
       match d.detail with
       | None ->
         Fmt.pr "differential O0 vs %s: return value and heap agree@."
@@ -576,24 +590,16 @@ let main source bench machine level dump_rtl stats run args run_bench size
           Fmt.epr "mcc: unknown benchmark %S@." name;
           1
         | Some b ->
-          let p =
-            W.estimate ~size ~coalesce ~strength_reduce ~schedule ?regalloc
-              ~assume_layout ~machine ~level b
-          in
-          let o =
-            W.run ~size ~coalesce ~strength_reduce ~schedule ~pipeline_sched
-              ?regalloc ~assume_layout ~engine ~machine ~level b
-          in
-          print_estimate ~machine p.W.summary o.W.metrics;
+          let p = W.estimate ~size ~assume_layout cfg b in
+          let o = W.run ~size ~assume_layout ~engine cfg b in
+          print_estimate ~machine p.W.summary o.result.metrics;
           Fmt.pr "estimate %.4fs vs simulation %.4fs@." p.W.est_seconds
             o.W.sim_seconds;
           0)
     end
     else if table then begin
       let rows =
-        Mac_workloads.Tables.table ~size
-          ~respect_profitability:(not force) ~assume_layout ~engine ?jobs
-          ~machine ()
+        Mac_workloads.Tables.table ~size ~assume_layout ~engine ?jobs cfg
       in
       Mac_workloads.Tables.pp_table Format.std_formatter machine rows;
       Format.pp_print_flush Format.std_formatter ();
@@ -606,7 +612,7 @@ let main source bench machine level dump_rtl stats run args run_bench size
         let outcomes = outcomes () in
         let total =
           List.fold_left
-            (fun acc (o : W.outcome) -> acc +. o.compile_seconds)
+            (fun acc (o : W.outcome) -> acc +. o.compiled.compile_seconds)
             0.0 outcomes
         in
         let tbl : (string, float) Hashtbl.t = Hashtbl.create 16 in
@@ -616,7 +622,7 @@ let main source bench machine level dump_rtl stats run args run_bench size
               (fun (name, s) ->
                 Hashtbl.replace tbl name
                   (s +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0))
-              o.pass_seconds)
+              o.compiled.pass_seconds)
           outcomes;
         print_pass_profile ~total
           (Hashtbl.fold (fun name s acc -> (name, s) :: acc) tbl [])
@@ -628,7 +634,7 @@ let main source bench machine level dump_rtl stats run args run_bench size
             (fun acc (o : W.outcome) ->
               acc
               +. Option.value
-                   (List.assoc_opt name o.sim_phases)
+                   (List.assoc_opt name o.result.phases)
                    ~default:0.0)
             0.0 outcomes
         in
@@ -652,20 +658,18 @@ let main source bench machine level dump_rtl stats run args run_bench size
         Fmt.epr "mcc: unknown benchmark %S@." name;
         1
       | Some b ->
-        let o =
-          W.run ~size ~coalesce ~strength_reduce ~schedule ~pipeline_sched
-            ?regalloc ~verify:vlevel ~assume_layout ~engine ~machine ~level b
-        in
-        if stats then print_reports o.reports;
-        if explain_alias then print_explain o.reports;
-        if explain_sched then print_explain_sched o.sched_reports;
-        if explain_tvalid then print_explain_tvalid o.tvalid_stats;
-        if verifying then print_diags o.diags;
+        let o = W.run ~size ~assume_layout ~engine cfg b in
+        let c = o.compiled in
+        if stats then print_reports c.reports;
+        if explain_alias then print_explain c.reports;
+        if explain_sched then print_explain_sched c.sched_reports;
+        if explain_tvalid then print_explain_tvalid c.tvalid_stats;
+        if verifying then print_diags c.diags;
         if profile then
-          print_pass_profile ~total:o.compile_seconds o.pass_seconds;
-        if profile_sim then print_sim_profile o.sim_phases;
-        print_metrics o.metrics;
-        Fmt.pr "return value: %Ld@." o.value;
+          print_pass_profile ~total:c.compile_seconds c.pass_seconds;
+        if profile_sim then print_sim_profile o.result.phases;
+        print_metrics o.result.metrics;
+        Fmt.pr "return value: %Ld@." o.result.value;
         (match o.error with
         | None ->
           Fmt.pr "output verified against the reference implementation@.";
@@ -689,8 +693,7 @@ let main source bench machine level dump_rtl stats run args run_bench size
           | None -> Fmt.failwith "unknown benchmark %S" name)
         | None, None -> assert false
       in
-      let cfg = config ~facts machine in
-      let compiled = Pipeline.compile_source cfg src in
+      let compiled = Pipeline.compile_source { cfg with facts } src in
       if stats then print_reports compiled.reports;
       if explain_alias then print_explain compiled.reports;
       if explain_sched then print_explain_sched compiled.sched_reports;

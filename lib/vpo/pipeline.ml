@@ -23,17 +23,15 @@ let level_to_string = function
   | O3 -> "O3"
   | O4 -> "O4"
 
-type verify_level = Vnone | Vir | Vfull
+type verify_level = Vnone | Vfull
 
 let verify_level_of_string = function
   | "none" | "off" -> Some Vnone
-  | "ir" -> Some Vir
   | "full" -> Some Vfull
   | _ -> None
 
 let verify_level_to_string = function
   | Vnone -> "none"
-  | Vir -> "ir"
   | Vfull -> "full"
 
 type config = {
@@ -418,50 +416,14 @@ let compile_funcs cfg funcs =
   let tvalid_tbl : (string, Mac_verify.Tvalid.agg) Hashtbl.t =
     Hashtbl.create 16
   in
-  (* Functions are compiled independently — uid allocation, the analysis
-     manager and the validator cache are all per-Func — so they fan out
-     over domains ({!Mac_parallel.Pool} caps the worker count at the
-     item count, so single-function sources stay on the calling domain).
-     Each function accumulates into private timing/validation tables,
-     merged afterwards in input order: totals are index-independent
-     float/int sums, so the result is identical to a serial run. *)
+  (* Functions are compiled one after another into the same two tables.
+     Callers that want parallelism fan out whole compiles (the sweeps,
+     mccd's workers); a nested fan-out here would only add domains. *)
   let per_func =
-    Mac_parallel.Pool.map
-      (fun f ->
-        let tm : (string, float) Hashtbl.t = Hashtbl.create 16 in
-        let tv : (string, Mac_verify.Tvalid.agg) Hashtbl.t =
-          Hashtbl.create 16
-        in
-        let r = compile_func cfg tm tv f in
-        (f.Func.name, r, tm, tv))
+    List.map
+      (fun f -> (f.Func.name, compile_func cfg timings tvalid_tbl f))
       funcs
   in
-  List.iter
-    (fun (_, _, tm, tv) ->
-      Hashtbl.iter (fun name dt -> add_time timings name dt) tm;
-      Hashtbl.iter
-        (fun name (a : Mac_verify.Tvalid.agg) ->
-          let g =
-            match Hashtbl.find_opt tvalid_tbl name with
-            | Some g -> g
-            | None ->
-              let g = Mac_verify.Tvalid.agg_zero () in
-              Hashtbl.add tvalid_tbl name g;
-              g
-          in
-          let open Mac_verify.Tvalid in
-          g.runs <- g.runs + a.runs;
-          g.blocks <- g.blocks + a.blocks;
-          g.skipped <- g.skipped + a.skipped;
-          g.regions <- g.regions + a.regions;
-          g.fallbacks <- g.fallbacks + a.fallbacks;
-          (match a.fallback_reason with
-          | Some r -> g.fallback_reason <- Some r
-          | None -> ());
-          g.seconds <- g.seconds +. a.seconds)
-        tv)
-    per_func;
-  let per_func = List.map (fun (n, r, _, _) -> (n, r)) per_func in
   let reports = List.map (fun (n, (r, _, _, _)) -> (n, r)) per_func in
   let all_reports = List.concat_map snd reports in
   let sum field =

@@ -23,17 +23,17 @@ val level_of_string : string -> level option
 val level_to_string : level -> string
 
 (** How much of {!Mac_verify} runs between passes: [Vnone] only the cheap
-    {!Mac_rtl.Func.validate}; [Vir] the full Rtlcheck well-formedness
-    suite after every pass; [Vfull] additionally per-pass translation
+    {!Mac_rtl.Func.validate}; [Vfull] the full Rtlcheck well-formedness
+    suite after every pass plus per-pass translation
     validation ({!Mac_verify.Tvalid} — symbolic block-by-block
     equivalence after every structure-preserving pass, region cut-points
     over the loop restructurers) plus the independent coalescing safety
     audit ({!Mac_verify.Audit}) right after the coalesce pass and the
     schedule audit after software pipelining. *)
-type verify_level = Vnone | Vir | Vfull
+type verify_level = Vnone | Vfull
 
 val verify_level_of_string : string -> verify_level option
-(** Accepts ["none"]/["off"], ["ir"], ["full"]. *)
+(** Accepts ["none"]/["off"] and ["full"]. *)
 
 val verify_level_to_string : verify_level -> string
 

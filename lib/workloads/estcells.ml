@@ -29,13 +29,9 @@ type ecell = {
    the triage ranking. *)
 let levels = Pipeline.[ O0; O2; O4 ]
 
-let sections =
-  [ ("TAB2", Machine.alpha); ("TAB3", Machine.mc88100);
-    ("TAB4", Machine.mc68030) ]
-
-(* Same forced-coalescing configuration as the simulation sweep, so the
-   two artifacts describe the same compiled code. *)
-let coalesce = Tables.coalesce_options ~respect_profitability:false
+(* The simulation sweep's section configs, so the two artifacts describe
+   the same compiled code. *)
+let sections = Tables.sections
 
 let rel_err ~pred ~sim =
   if sim = 0 then if pred = 0 then 0.0 else 1.0
@@ -48,15 +44,13 @@ let cycle_err c =
 let miss_err c =
   Option.map (fun sim -> rel_err ~pred:c.pred_misses ~sim) c.sim_misses
 
-let predict ~section ~(machine : Machine.t) ~size (b : Workloads.t) level =
-  let p =
-    Workloads.estimate ~size ~coalesce ~assume_layout:true ~machine ~level b
-  in
+let predict ~section ~(cfg : Pipeline.config) ~size (b : Workloads.t) level =
+  let p = Workloads.estimate ~size ~assume_layout:true { cfg with level } b in
   let s = p.Workloads.summary in
   {
     section;
     bench = b.Workloads.name;
-    machine = machine.Machine.name;
+    machine = cfg.machine.Machine.name;
     level = Pipeline.level_to_string level;
     pred_cycles = s.Reuse.s_cycles;
     pred_insts = s.Reuse.s_insts;
@@ -72,29 +66,28 @@ let predict ~section ~(machine : Machine.t) ~size (b : Workloads.t) level =
 
 let grid =
   List.concat_map
-    (fun (section, machine) ->
+    (fun (section, cfg) ->
       List.concat_map
         (fun (b : Workloads.t) ->
-          List.map (fun level -> (section, machine, b, level)) levels)
+          List.map (fun level -> (section, cfg, b, level)) levels)
         Workloads.all)
     sections
 
-let simulate ~(machine : Machine.t) ~size ?engine (b : Workloads.t) level c =
+let simulate ~(cfg : Pipeline.config) ~size ?engine (b : Workloads.t) level c
+    =
   let o =
-    Workloads.run ~size ~coalesce ~assume_layout:true ?engine ~machine
-      ~level b
+    Workloads.run ~size ~assume_layout:true ?engine { cfg with level } b
   in
   {
     c with
-    sim_cycles = Some o.Workloads.metrics.Mac_sim.Interp.cycles;
-    sim_misses = Some o.Workloads.metrics.Mac_sim.Interp.dcache_misses;
-    sim_seconds = Some o.Workloads.sim_seconds;
+    sim_cycles = Some o.result.metrics.cycles;
+    sim_misses = Some o.result.metrics.dcache_misses;
+    sim_seconds = Some o.sim_seconds;
   }
 
 let predictions ~size () =
   List.map
-    (fun (section, machine, b, level) ->
-      predict ~section ~machine ~size b level)
+    (fun (section, cfg, b, level) -> predict ~section ~cfg ~size b level)
     grid
 
 (* Every cell estimated AND simulated — the accuracy artifact. The
@@ -104,8 +97,7 @@ let run ?jobs ?engine ~size () =
   let preds = predictions ~size () in
   let sims =
     Mac_parallel.Pool.map ?jobs
-      (fun ((_, machine, b, level), c) ->
-        simulate ~machine ~size ?engine b level c)
+      (fun ((_, cfg, b, level), c) -> simulate ~cfg ~size ?engine b level c)
       (List.combine grid preds)
   in
   sims
@@ -203,17 +195,16 @@ let run_triage ?jobs ?engine ~size () =
     List.concat_map
       (fun (((section, (b : Workloads.t)), pred) : (string * Workloads.t) * float)
            ->
-        let machine = List.assoc section sections in
+        let cfg = List.assoc section sections in
         List.map
-          (fun level -> (section, b, machine, level, pred))
+          (fun level -> (section, b, cfg, level, pred))
           Pipeline.[ O2; O4 ])
       interesting
   in
   let outs =
     Mac_parallel.Pool.map ?jobs
-      (fun (_, (b : Workloads.t), machine, level, _) ->
-        Workloads.run ~size ~coalesce ~assume_layout:true ?engine ~machine
-          ~level b)
+      (fun (_, (b : Workloads.t), (cfg : Pipeline.config), level, _) ->
+        Workloads.run ~size ~assume_layout:true ?engine { cfg with level } b)
       jobs_cells
   in
   let t_sim_seconds =
@@ -225,7 +216,7 @@ let run_triage ?jobs ?engine ~size () =
     List.map2
       (fun (section, (b : Workloads.t), _, level, _) (o : Workloads.outcome)
            ->
-        ((section, b.Workloads.name, level), o.Workloads.metrics.cycles))
+        ((section, b.Workloads.name, level), o.result.metrics.cycles))
       jobs_cells outs
   in
   let sim_savings_for section bench =

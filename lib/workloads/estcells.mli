@@ -30,7 +30,8 @@ type ecell = {
 }
 
 val levels : Mac_vpo.Pipeline.level list
-val sections : (string * Mac_machine.Machine.t) list
+val sections : (string * Mac_vpo.Pipeline.config) list
+(** {!Tables.sections}: the simulation sweep's forced configurations. *)
 
 val tolerance : float
 (** The documented accuracy contract: the median relative cycle error

@@ -31,19 +31,10 @@ type speedup = {
   ratio : float;
 }
 
-let savings ~baseline v =
-  if baseline = 0 then 0.0
-  else float_of_int (baseline - v) /. float_of_int baseline *. 100.0
-
 let cell_of_outcome ~section ~machine ~bench ~level ~baseline
     (o : Workloads.outcome) =
-  let m = o.Workloads.metrics in
-  let sum f =
-    List.fold_left
-      (fun acc (_, rs) ->
-        List.fold_left (fun acc r -> acc + f r) acc rs)
-      0 o.Workloads.reports
-  in
+  let m = o.result.metrics in
+  let c = o.compiled in
   (* -Osched counters, summed over the function's committed loops (all
      zero when the pass was off and the report list is empty). *)
   let sum_sched f =
@@ -55,7 +46,7 @@ let cell_of_outcome ~section ~machine ~bench ~level ~baseline
             | Mac_opt.Pipeline_sched.Rejected _ -> acc
             | _ -> acc + f r)
           acc rs)
-      0 o.Workloads.sched_reports
+      0 c.sched_reports
   in
   {
     section;
@@ -68,11 +59,11 @@ let cell_of_outcome ~section ~machine ~bench ~level ~baseline
     stores = m.stores;
     savings_pct =
       (match level with
-      | Pipeline.O3 | Pipeline.O4 -> Some (savings ~baseline m.cycles)
+      | Pipeline.O3 | Pipeline.O4 -> Some (Tables.savings ~baseline m.cycles)
       | _ -> None);
-    correct = o.Workloads.correct;
-    guards_emitted = sum (fun r -> r.Mac_core.Coalesce.guards_emitted);
-    guards_elided = sum (fun r -> r.Mac_core.Coalesce.guards_elided);
+    correct = o.correct;
+    guards_emitted = c.guards_emitted;
+    guards_elided = c.guards_elided;
     sched_mii =
       sum_sched (fun r ->
           Stdlib.max r.Mac_opt.Pipeline_sched.mii_rec
@@ -83,15 +74,15 @@ let cell_of_outcome ~section ~machine ~bench ~level ~baseline
           match r.Mac_opt.Pipeline_sched.status with
           | Mac_opt.Pipeline_sched.Pipelined -> 1
           | _ -> 0);
-    compile_seconds = o.Workloads.compile_seconds;
-    pass_seconds = o.Workloads.pass_seconds;
+    compile_seconds = c.compile_seconds;
+    pass_seconds = c.pass_seconds;
     tvalid_seconds =
       List.map
         (fun (p, (a : Mac_verify.Tvalid.agg)) ->
           (p, a.Mac_verify.Tvalid.seconds))
-        o.Workloads.tvalid_stats;
-    sim_seconds = o.Workloads.sim_seconds;
-    sim_phases = o.Workloads.sim_phases;
+        c.tvalid_stats;
+    sim_seconds = o.sim_seconds;
+    sim_phases = o.result.phases;
   }
 
 let cells_of_rows ~section ~machine rows =
@@ -104,19 +95,16 @@ let cells_of_rows ~section ~machine rows =
         r.outcomes)
     rows
 
-(* The sweep measures the static-disambiguation path: the per-benchmark
-   layout facts are asserted ([assume_layout:true]), so provable guards
-   are elided and the per-cell counters record how many. *)
-let tab_cells ?jobs ?engine ~size ~section ~machine () =
-  cells_of_rows ~section ~machine
-    (Tables.table ~size ~assume_layout:true ?engine ?jobs ~machine ())
-
 (* The FULL section: Table II through the complete vpo-style pipeline
    (strength reduction + list scheduling + 32-register allocation) on the
    Alpha, compiled at [--verify-level full] so the sweep also measures
    the per-pass translation-validation overhead it reports in the
    document's [tvalid_seconds] breakdown. *)
 let full_levels = Pipeline.[ O2; O3; O4 ]
+
+let full_config =
+  Pipeline.config ~strength_reduce:true ~schedule:true ~regalloc:32
+    ~verify:Pipeline.Vfull Machine.alpha
 
 let full_outcomes ?jobs ?engine ~size () =
   let cells =
@@ -127,10 +115,8 @@ let full_outcomes ?jobs ?engine ~size () =
   let outs =
     Mac_parallel.Pool.map ?jobs
       (fun ((b : Workloads.t), level) ->
-        Workloads.run ~size ~coalesce:Mac_core.Coalesce.default
-          ~strength_reduce:true ~schedule:true ~regalloc:32
-          ~assume_layout:true ~verify:Pipeline.Vfull ?engine
-          ~machine:Machine.alpha ~level b)
+        Workloads.run ~size ~assume_layout:true ?engine
+          { full_config with level } b)
       cells
   in
   List.map2 (fun (b, l) o -> (b, l, o)) cells outs
@@ -140,7 +126,7 @@ let cells_of_full_outcomes outs =
     List.find_map
       (fun ((b : Workloads.t), l, (o : Workloads.outcome)) ->
         if String.equal b.name bench && l = Pipeline.O2 then
-          Some o.Workloads.metrics.cycles
+          Some o.result.metrics.cycles
         else None)
       outs
     |> Option.value ~default:0
@@ -151,35 +137,31 @@ let cells_of_full_outcomes outs =
         ~baseline:(baseline_of b.name) o)
     outs
 
-let full_cells ?jobs ?engine ~size () =
-  cells_of_full_outcomes (full_outcomes ?jobs ?engine ~size ())
-
-let tab_sections =
-  [ ("TAB2", Machine.alpha); ("TAB3", Machine.mc88100);
-    ("TAB4", Machine.mc68030) ]
-
 (* The SCHED section re-runs the two CISC-ish tables with the [-Osched]
    software pipeliner on and the [Pipelined] profitability oracle pricing
    the coalescer's versions — the configuration whose image_add16/O4 cell
    the bench harness gates against its TAB3 counterpart. *)
-let sched_machines = [ Machine.mc88100; Machine.mc68030 ]
+let sched_config machine =
+  {
+    (Tables.paper machine) with
+    coalesce =
+      { Tables.forced with profit_mode = Mac_core.Profitability.Pipelined };
+    pipeline_sched = true;
+  }
 
-let sched_cells ?jobs ?engine ~size () =
-  List.concat_map
-    (fun machine ->
-      cells_of_rows ~section:"SCHED" ~machine
-        (Tables.table ~size ~assume_layout:true ?engine ?jobs
-           ~profit_mode:Mac_core.Profitability.Pipelined ~pipeline_sched:true
-           ~machine ()))
-    sched_machines
-
+(* The sweep measures the static-disambiguation path: the per-benchmark
+   layout facts are asserted ([assume_layout:true]), so provable guards
+   are elided and the per-cell counters record how many. *)
 let run ?jobs ?engine ~size ?(full_size = 64) () =
-  List.concat_map
-    (fun (section, machine) ->
-      tab_cells ?jobs ?engine ~size ~section ~machine ())
-    tab_sections
-  @ sched_cells ?jobs ?engine ~size ()
-  @ full_cells ?jobs ?engine ~size:full_size ()
+  let tab section cfg =
+    cells_of_rows ~section ~machine:cfg.Pipeline.machine
+      (Tables.table ~size ~assume_layout:true ?engine ?jobs cfg)
+  in
+  List.concat_map (fun (section, cfg) -> tab section cfg) Tables.sections
+  @ List.concat_map
+      (fun machine -> tab "SCHED" (sched_config machine))
+      [ Machine.mc88100; Machine.mc68030 ]
+  @ cells_of_full_outcomes (full_outcomes ?jobs ?engine ~size:full_size ())
 
 (* --- JSON ----------------------------------------------------------- *)
 

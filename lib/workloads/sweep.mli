@@ -74,28 +74,13 @@ type speedup = {
   ratio : float;  (** serial reference / parallel jit *)
 }
 
-val tab_cells :
-  ?jobs:int ->
-  ?engine:Mac_sim.Interp.engine ->
-  size:int ->
-  section:string ->
-  machine:Mac_machine.Machine.t ->
-  unit ->
-  cell list
-(** The benchmark x O1..O4 cells of one paper table (forced coalescing,
-    {!Tables.table} semantics). *)
-
-val sched_cells :
-  ?jobs:int ->
-  ?engine:Mac_sim.Interp.engine ->
-  size:int ->
-  unit ->
-  cell list
-(** The SCHED section: the TAB3/TAB4 machines (mc88100, mc68030) re-run
-    with [pipeline_sched:true] and the [Pipelined] profitability mode, so
-    the per-cell [sched_mii]/[sched_ii]/[pipelined] counters are live and
-    the bench harness can gate SCHED cycles against the unscheduled TAB3
-    cells. *)
+val sched_config : Mac_machine.Machine.t -> Mac_vpo.Pipeline.config
+(** The SCHED section's configuration: the paper's forced configuration
+    ({!Tables.paper}) with [pipeline_sched] on and the [Pipelined]
+    profitability mode, so the per-cell [sched_mii]/[sched_ii]/[pipelined]
+    counters are live and the bench harness can gate SCHED cycles against
+    the unscheduled TAB3 cells. The sweep runs it on the TAB3/TAB4
+    machines (mc88100, mc68030). *)
 
 val full_outcomes :
   ?jobs:int ->
@@ -111,13 +96,6 @@ val cells_of_full_outcomes :
   (Workloads.t * Mac_vpo.Pipeline.level * Workloads.outcome) list ->
   cell list
 
-val full_cells :
-  ?jobs:int ->
-  ?engine:Mac_sim.Interp.engine ->
-  size:int ->
-  unit ->
-  cell list
-
 val run :
   ?jobs:int ->
   ?engine:Mac_sim.Interp.engine ->
@@ -125,8 +103,9 @@ val run :
   ?full_size:int ->
   unit ->
   cell list
-(** All sections: TAB2 + TAB3 + TAB4 + SCHED at [size], FULL at
-    [full_size] (default 64, the bench harness's fixed FULL size). *)
+(** All sections: TAB2 + TAB3 + TAB4 ({!Tables.sections}) + SCHED at
+    [size], FULL at [full_size] (default 64, the bench harness's fixed
+    FULL size). The table sections assert the benchmarks' layout facts. *)
 
 val cells_of_rows :
   section:string ->

@@ -46,27 +46,29 @@ let levels = Mac_vpo.Pipeline.[ O1; O2; O3; O4 ]
    profitability gate and the I-cache unrolling guard off (the paper
    measured *slower* code on the 68030, so its numbers cannot have been
    gated). *)
-let coalesce_options ~respect_profitability =
+let forced =
   {
     Mac_core.Coalesce.default with
-    respect_profitability;
-    icache_guard = respect_profitability;
+    respect_profitability = false;
+    icache_guard = false;
   }
 
-let cell ~size ~respect_profitability ?(assume_layout = false) ?engine
-    ?profit_mode ?pipeline_sched ~machine bench level =
-  let coalesce = coalesce_options ~respect_profitability in
-  let coalesce =
-    match profit_mode with
-    | None -> coalesce
-    | Some m -> { coalesce with Mac_core.Coalesce.profit_mode = m }
-  in
-  Workloads.run ~size ~coalesce ~assume_layout ?engine ?pipeline_sched
-    ~machine ~level bench
+let paper machine = Mac_vpo.Pipeline.config ~coalesce:forced machine
+
+(* The paper's three tables, one forced configuration per machine. *)
+let sections =
+  [ ("TAB2", paper Machine.alpha); ("TAB3", paper Machine.mc88100);
+    ("TAB4", paper Machine.mc68030) ]
+
+(* Every column compiles [cfg] with only its level replaced. *)
+let cell ?size ?assume_layout ?engine (cfg : Mac_vpo.Pipeline.config) bench
+    level =
+  Workloads.run ?size ?assume_layout ?engine { cfg with level } bench
 
 let row_of_outcomes bench outcomes =
-  let get l = (List.assoc l outcomes : Workloads.outcome) in
-  let cycles l = (get l).Workloads.metrics.cycles in
+  let cycles l =
+    (List.assoc l outcomes : Workloads.outcome).result.metrics.cycles
+  in
   {
     bench;
     rolled = cycles Mac_vpo.Pipeline.O1;
@@ -77,20 +79,16 @@ let row_of_outcomes bench outcomes =
     outcomes;
   }
 
-let row ?(size = 100) ?(respect_profitability = false) ?assume_layout ?engine
-    ?profit_mode ?pipeline_sched ~machine bench =
+let row ?size ?assume_layout ?engine cfg bench =
   row_of_outcomes bench
     (List.map
-       (fun l ->
-         (l, cell ~size ~respect_profitability ?assume_layout ?engine
-              ?profit_mode ?pipeline_sched ~machine bench l))
+       (fun l -> (l, cell ?size ?assume_layout ?engine cfg bench l))
        levels)
 
 (* The table fans its benchmark x level cells over domains ([?jobs],
    default {!Mac_parallel.Pool.jobs}); results come back in canonical
    order, so the rendered table is identical to a serial run. *)
-let table ?(size = 100) ?(respect_profitability = false) ?assume_layout
-    ?engine ?profit_mode ?pipeline_sched ?jobs ~machine () =
+let table ?size ?assume_layout ?engine ?jobs cfg =
   let cells =
     List.concat_map
       (fun b -> List.map (fun l -> (b, l)) levels)
@@ -98,27 +96,15 @@ let table ?(size = 100) ?(respect_profitability = false) ?assume_layout
   in
   let outcomes =
     Mac_parallel.Pool.map ?jobs
-      (fun (b, l) ->
-        cell ~size ~respect_profitability ?assume_layout ?engine ?profit_mode
-          ?pipeline_sched ~machine b l)
+      (fun (b, l) -> (l, cell ?size ?assume_layout ?engine cfg b l))
       cells
+    |> Array.of_list
   in
-  let rec chunk rows cells outs =
-    match (cells, outs) with
-    | [], [] -> List.rev rows
-    | _ ->
-      let rec take k cs os acc =
-        if k = 0 then (List.rev acc, cs, os)
-        else
-          match (cs, os) with
-          | (_, l) :: cs', o :: os' -> take (k - 1) cs' os' ((l, o) :: acc)
-          | _ -> assert false
-      in
-      let taken, cells', outs' = take (List.length levels) cells outs [] in
-      let bench = match cells with (b, _) :: _ -> b | [] -> assert false in
-      chunk (row_of_outcomes bench taken :: rows) cells' outs'
-  in
-  chunk [] cells outcomes
+  let n = List.length levels in
+  List.mapi
+    (fun i b ->
+      row_of_outcomes b (Array.to_list (Array.sub outcomes (i * n) n)))
+    Workloads.all
 
 let pp_row ppf r =
   Format.fprintf ppf "| %-12s | %10d | %10d | %10d | %10d | %6.2f | %6.2f | %s"

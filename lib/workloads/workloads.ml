@@ -617,20 +617,9 @@ let find name =
 (* Running                                                              *)
 
 type outcome = {
-  value : int64;
-  metrics : Interp.metrics;
-  reports : (string * Mac_core.Coalesce.loop_report list) list;
-  sched_reports :
-    (string
-    * (Mac_opt.Pipeline_sched.report * Mac_opt.Pipeline_sched.cert option)
-      list)
-      list;
-  diags : (string * Mac_verify.Diagnostic.t list) list;
-  compile_seconds : float;
-  pass_seconds : (string * float) list;
-  tvalid_stats : (string * Mac_verify.Tvalid.agg) list;
+  compiled : Mac_vpo.Pipeline.compiled;
+  result : Interp.result;
   sim_seconds : float;
-  sim_phases : (string * float) list;
   correct : bool;
   error : string option;
 }
@@ -668,69 +657,45 @@ let mem_size_for ~size =
   let rec pow2 n = if n >= want then n else pow2 (2 * n) in
   pow2 (1 lsl 16)
 
-let run_mem ?(layout = default_layout) ?(size = 100) ?coalesce
-    ?legalize_first ?strength_reduce ?regalloc ?schedule ?pipeline_sched
-    ?verify:vlevel ?model_icache ?engine ?(assume_layout = false)
-    ?(force_guards = false) ~machine ~level bench =
-  let coalesce =
-    if force_guards then
-      Some
-        {
-          (Option.value coalesce ~default:Mac_core.Coalesce.default) with
-          Mac_core.Coalesce.force_guards = true;
-        }
-    else coalesce
-  in
-  let facts =
-    if assume_layout then [ (bench.entry, bench.facts layout ~size) ]
-    else []
-  in
+(* Compile [cfg] for [bench] and prepare its memory image for [layout]
+   and [size]: what running, estimating and differential execution share.
+   [~assume_layout:true] adds the layout's facts to the config's own. *)
+let compile_and_prepare ~layout ~size ~assume_layout
+    (cfg : Mac_vpo.Pipeline.config) bench =
   let cfg =
-    Mac_vpo.Pipeline.config ~level ?coalesce ?legalize_first
-      ?strength_reduce ?regalloc ?schedule ?pipeline_sched ?verify:vlevel
-      ~facts machine
+    if assume_layout then
+      { cfg with facts = (bench.entry, bench.facts layout ~size) :: cfg.facts }
+    else cfg
   in
   let compiled = Mac_vpo.Pipeline.compile_source cfg bench.source in
   let mem = Memory.create ~size:(mem_size_for ~size) in
-  let instance = bench.prepare layout ~size mem in
+  (compiled, mem, bench.prepare layout ~size mem)
+
+let run_mem ?(layout = default_layout) ?(size = 100) ?model_icache ?engine
+    ?(assume_layout = false) (cfg : Mac_vpo.Pipeline.config) bench =
+  let compiled, mem, instance =
+    compile_and_prepare ~layout ~size ~assume_layout cfg bench
+  in
   let result =
-    Interp.run ~machine ~memory:mem compiled.funcs ~entry:bench.entry
-      ~args:instance.args ?model_icache ?engine ()
+    Interp.run ~machine:cfg.machine ~memory:mem compiled.funcs
+      ~entry:bench.entry ~args:instance.args ?model_icache ?engine ()
   in
   let error = verify mem instance result.value in
   ( {
-      value = result.value;
-      metrics = result.metrics;
-      reports = compiled.reports;
-      sched_reports = compiled.sched_reports;
-      diags = compiled.diags;
-      compile_seconds = compiled.compile_seconds;
-      pass_seconds = compiled.pass_seconds;
-      tvalid_stats = compiled.tvalid_stats;
+      compiled;
+      result;
       sim_seconds =
         List.fold_left (fun acc (_, s) -> acc +. s) 0.0 result.phases;
-      sim_phases = result.phases;
       correct = error = None;
       error;
     },
     mem )
 
-let run ?layout ?size ?coalesce ?legalize_first ?strength_reduce ?regalloc
-    ?schedule ?pipeline_sched ?verify ?model_icache ?engine ?assume_layout
-    ?force_guards ~machine ~level bench =
-  fst
-    (run_mem ?layout ?size ?coalesce ?legalize_first ?strength_reduce
-       ?regalloc ?schedule ?pipeline_sched ?verify ?model_icache ?engine
-       ?assume_layout ?force_guards ~machine ~level bench)
+let run ?layout ?size ?model_icache ?engine ?assume_layout cfg bench =
+  fst (run_mem ?layout ?size ?model_icache ?engine ?assume_layout cfg bench)
 
-let run_exn ?layout ?size ?coalesce ?legalize_first ?strength_reduce
-    ?regalloc ?schedule ?pipeline_sched ?verify ?model_icache ?engine
-    ?assume_layout ?force_guards ~machine ~level bench =
-  let o =
-    run ?layout ?size ?coalesce ?legalize_first ?strength_reduce ?regalloc
-      ?schedule ?pipeline_sched ?verify ?model_icache ?engine
-      ?assume_layout ?force_guards ~machine ~level bench
-  in
+let run_exn ?layout ?size ?model_icache ?engine ?assume_layout cfg bench =
+  let o = run ?layout ?size ?model_icache ?engine ?assume_layout cfg bench in
   (match o.error with
   | Some e -> failwith (Printf.sprintf "%s: %s" bench.name e)
   | None -> ());
@@ -742,7 +707,7 @@ let run_exn ?layout ?size ?coalesce ?legalize_first ?strength_reduce
 type prediction = {
   summary : Mac_dataflow.Reuse.summary;
   est_seconds : float;
-  est_compile_seconds : float;
+  compiled : Mac_vpo.Pipeline.compiled;
 }
 
 (* The estimator's oracle over the prepared (but never simulated) memory
@@ -766,29 +731,12 @@ let read_oracle mem =
       Some !v
     end
 
-let estimate ?(layout = default_layout) ?(size = 100) ?coalesce
-    ?legalize_first ?strength_reduce ?regalloc ?schedule ?model_icache
-    ?(assume_layout = false) ?(force_guards = false) ~machine ~level bench =
-  let coalesce =
-    if force_guards then
-      Some
-        {
-          (Option.value coalesce ~default:Mac_core.Coalesce.default) with
-          Mac_core.Coalesce.force_guards = true;
-        }
-    else coalesce
+let estimate ?(layout = default_layout) ?(size = 100) ?model_icache
+    ?(assume_layout = false) (cfg : Mac_vpo.Pipeline.config) bench =
+  let compiled, mem, instance =
+    compile_and_prepare ~layout ~size ~assume_layout cfg bench
   in
-  let facts =
-    if assume_layout then [ (bench.entry, bench.facts layout ~size) ]
-    else []
-  in
-  let cfg =
-    Mac_vpo.Pipeline.config ~level ?coalesce ?legalize_first
-      ?strength_reduce ?regalloc ?schedule ~facts machine
-  in
-  let compiled = Mac_vpo.Pipeline.compile_source cfg bench.source in
-  let mem = Memory.create ~size:(mem_size_for ~size) in
-  let instance = bench.prepare layout ~size mem in
+  let machine = cfg.machine in
   let read = read_oracle mem in
   let resolve name =
     List.find_opt
@@ -811,11 +759,24 @@ let estimate ?(layout = default_layout) ?(size = 100) ?coalesce
           (Printf.sprintf "estimate: no function %S in %s" bench.entry
              bench.name))
   in
-  {
-    summary;
-    est_seconds = Unix.gettimeofday () -. t0;
-    est_compile_seconds = compiled.compile_seconds;
-  }
+  let est_seconds = Unix.gettimeofday () -. t0 in
+  (* The estimator prices a loop one iteration at a time; a
+     software-pipelined kernel overlaps iterations, so its cycles are
+     only approximate. *)
+  let pipelined =
+    List.exists
+      (fun (_, rs) ->
+        List.exists
+          (fun ((r : Mac_opt.Pipeline_sched.report), _) ->
+            r.status = Mac_opt.Pipeline_sched.Pipelined)
+          rs)
+      compiled.sched_reports
+  in
+  let summary =
+    if pipelined then { summary with Mac_dataflow.Reuse.s_approx = true }
+    else summary
+  in
+  { summary; est_seconds; compiled }
 
 (* ------------------------------------------------------------------ *)
 (* Differential execution                                               *)
@@ -829,25 +790,24 @@ type differential = {
 
 (* The bump allocator hands out workload buffers from address 64 up;
    below that nothing is mapped for the program, so the heap comparison
-   starts there. Register allocation is deliberately not part of the
-   differential configuration: spill frames live in memory and would
-   differ between levels without being observable program state. *)
-let differential ?layout ?size ?coalesce ?legalize_first ?strength_reduce
-    ?schedule ?pipeline_sched ?verify ?engine ?assume_layout ?force_guards
-    ~machine ~level bench =
-  let go level =
-    run_mem ?layout ?size ?coalesce ?legalize_first ?strength_reduce
-      ?schedule ?pipeline_sched ?verify ?engine ?assume_layout
-      ?force_guards ~machine ~level bench
-  in
-  let base, mem_base = go Mac_vpo.Pipeline.O0 in
-  let opt, mem_opt = go level in
+   starts there. Register allocation cannot be part of the differential
+   configuration: spill frames live in memory and would differ between
+   levels without being observable program state. *)
+let differential ?layout ?size ?engine ?assume_layout
+    (cfg : Mac_vpo.Pipeline.config) bench =
+  if cfg.regalloc <> None then
+    invalid_arg
+      "Workloads.differential: spill frames under regalloc are not \
+       comparable heap state";
+  let go cfg = run_mem ?layout ?size ?engine ?assume_layout cfg bench in
+  let base, mem_base = go { cfg with level = Mac_vpo.Pipeline.O0 } in
+  let opt, mem_opt = go cfg in
+  let level = Mac_vpo.Pipeline.level_to_string cfg.level in
   let detail =
-    if not (Int64.equal base.value opt.value) then
+    if not (Int64.equal base.result.value opt.result.value) then
       Some
-        (Printf.sprintf "return value %Ld at O0 but %Ld at %s" base.value
-           opt.value
-           (Mac_vpo.Pipeline.level_to_string level))
+        (Printf.sprintf "return value %Ld at O0 but %Ld at %s"
+           base.result.value opt.result.value level)
     else begin
       let len = min (Memory.size mem_base) (Memory.size mem_opt) - 64 in
       let a = Memory.load_bytes mem_base ~addr:64L ~len in
@@ -865,8 +825,7 @@ let differential ?layout ?size ?coalesce ?legalize_first ?strength_reduce
          with Exit -> ());
         Some
           (Printf.sprintf
-             "heap byte at address %d differs between O0 and %s" !at
-             (Mac_vpo.Pipeline.level_to_string level))
+             "heap byte at address %d differs between O0 and %s" !at level)
       end
     end
   in

@@ -67,32 +67,13 @@ val translate_k : int
 (** {1 Running} *)
 
 type outcome = {
-  value : int64;
-  metrics : Mac_sim.Interp.metrics;
-  reports : (string * Mac_core.Coalesce.loop_report list) list;
-  sched_reports :
-    (string
-    * (Mac_opt.Pipeline_sched.report * Mac_opt.Pipeline_sched.cert option)
-      list)
-      list;
-      (** per-loop [-Osched] reports per function (empty unless
-          [?pipeline_sched] is on; see {!Mac_vpo.Pipeline.compiled}) *)
-  diags : (string * Mac_verify.Diagnostic.t list) list;
-      (** verifier warnings/infos per function (see
-          {!Mac_vpo.Pipeline.compiled}) *)
-  compile_seconds : float;  (** wall-clock of the whole compilation *)
-  pass_seconds : (string * float) list;
-      (** compile time by pass name, summed over functions and rounds
-          (see {!Mac_vpo.Pipeline.compiled}) *)
-  tvalid_stats : (string * Mac_verify.Tvalid.agg) list;
-      (** per-pass translation-validation counters and seconds (empty
-          unless [?verify] is [Vfull]; see
-          {!Mac_vpo.Pipeline.compiled.tvalid_stats}) *)
+  compiled : Mac_vpo.Pipeline.compiled;
+      (** the program that ran: code, coalescer and [-Osched] reports,
+          verifier diagnostics, guard counters and compile timings *)
+  result : Mac_sim.Interp.result;
+      (** return value, simulator metrics and per-phase simulation time
+          (decode, compile, execute; [mcc --profile-sim]) *)
   sim_seconds : float;  (** wall-clock of the simulation run *)
-  sim_phases : (string * float) list;
-      (** simulation time by phase — decode, compile, execute — as
-          reported by {!Mac_sim.Interp.result.phases} ([mcc
-          --profile-sim]) *)
   correct : bool;  (** output matched the reference *)
   error : string option;  (** the mismatch description when not *)
 }
@@ -100,48 +81,29 @@ type outcome = {
 val run :
   ?layout:layout ->
   ?size:int ->
-  ?coalesce:Mac_core.Coalesce.options ->
-  ?legalize_first:bool ->
-  ?strength_reduce:bool ->
-  ?regalloc:int ->
-  ?schedule:bool ->
-  ?pipeline_sched:bool ->
-  ?verify:Mac_vpo.Pipeline.verify_level ->
   ?model_icache:bool ->
   ?engine:Mac_sim.Interp.engine ->
   ?assume_layout:bool ->
-  ?force_guards:bool ->
-  machine:Mac_machine.Machine.t ->
-  level:Mac_vpo.Pipeline.level ->
+  Mac_vpo.Pipeline.config ->
   t ->
   outcome
-(** Compile the benchmark with the given pipeline configuration, run it on
-    a fresh memory image, and verify the outputs against the reference.
-    Defaults: {!default_layout}, [size = 100], the pipeline defaults of
-    {!Mac_vpo.Pipeline.config}. [?verify] enables the per-pass Rtlcheck
-    (and, at [Vfull], the coalescing audit); error-severity diagnostics
-    raise {!Mac_vpo.Pipeline.Verification_failed}.
-    [~assume_layout:true] feeds the benchmark's layout-conditioned
-    {!t.facts} to the static disambiguation oracle, letting provable
-    guards be elided; [~force_guards:true] keeps every guard regardless
-    (the elision property tests compare the two). *)
+(** Compile the benchmark under the given pipeline configuration (its
+    machine and level included), run it on a fresh memory image, and
+    verify the outputs against the reference. Defaults:
+    {!default_layout}, [size = 100]. A config whose [verify] is [Vfull]
+    raises {!Mac_vpo.Pipeline.Verification_failed} on an error-severity
+    diagnostic. [~assume_layout:true] adds the benchmark's
+    layout-conditioned {!t.facts} to the config's facts, letting the
+    static disambiguation oracle elide provable guards (unless the
+    config's [coalesce.force_guards] keeps them all). *)
 
 val run_exn :
   ?layout:layout ->
   ?size:int ->
-  ?coalesce:Mac_core.Coalesce.options ->
-  ?legalize_first:bool ->
-  ?strength_reduce:bool ->
-  ?regalloc:int ->
-  ?schedule:bool ->
-  ?pipeline_sched:bool ->
-  ?verify:Mac_vpo.Pipeline.verify_level ->
   ?model_icache:bool ->
   ?engine:Mac_sim.Interp.engine ->
   ?assume_layout:bool ->
-  ?force_guards:bool ->
-  machine:Mac_machine.Machine.t ->
-  level:Mac_vpo.Pipeline.level ->
+  Mac_vpo.Pipeline.config ->
   t ->
   outcome
 (** Like {!run} but fails on an output mismatch. *)
@@ -162,28 +124,23 @@ type prediction = {
   est_seconds : float;
       (** wall-clock of the estimate itself — the number simulation time
           is traded against in {!Estcells} triage *)
-  est_compile_seconds : float;  (** wall-clock of the compilation *)
+  compiled : Mac_vpo.Pipeline.compiled;  (** the program that was priced *)
 }
 
 val estimate :
   ?layout:layout ->
   ?size:int ->
-  ?coalesce:Mac_core.Coalesce.options ->
-  ?legalize_first:bool ->
-  ?strength_reduce:bool ->
-  ?regalloc:int ->
-  ?schedule:bool ->
   ?model_icache:bool ->
   ?assume_layout:bool ->
-  ?force_guards:bool ->
-  machine:Mac_machine.Machine.t ->
-  level:Mac_vpo.Pipeline.level ->
+  Mac_vpo.Pipeline.config ->
   t ->
   prediction
-(** Same configuration surface as {!run} (minus [?engine] and
-    [?verify], which only exist once code executes). The estimate is
-    memoised through the function's analysis manager
-    ({!Mac_vpo.Pipeline.compiled.ams}). *)
+(** Same configuration surface as {!run} minus [?engine], which only
+    exists once code executes: given the same config, the estimate prices
+    exactly the program {!run} would simulate. It is memoised through the
+    function's analysis manager ({!Mac_vpo.Pipeline.compiled.ams}). A
+    program with a software-pipelined loop is priced with [s_approx]
+    set: the estimator does not model the overlap of its iterations. *)
 
 (** {1 Differential execution}
 
@@ -202,20 +159,13 @@ type differential = {
 val differential :
   ?layout:layout ->
   ?size:int ->
-  ?coalesce:Mac_core.Coalesce.options ->
-  ?legalize_first:bool ->
-  ?strength_reduce:bool ->
-  ?schedule:bool ->
-  ?pipeline_sched:bool ->
-  ?verify:Mac_vpo.Pipeline.verify_level ->
   ?engine:Mac_sim.Interp.engine ->
   ?assume_layout:bool ->
-  ?force_guards:bool ->
-  machine:Mac_machine.Machine.t ->
-  level:Mac_vpo.Pipeline.level ->
+  Mac_vpo.Pipeline.config ->
   t ->
   differential
-(** Run [bench] at [O0] and at [level] and compare the return values and
-    all heap bytes from the allocator base (address 64) up. Register
-    allocation is deliberately unavailable here: spill frames are
-    unobservable program state and would differ between levels. *)
+(** Run the benchmark under [{ cfg with level = O0 }] and under [cfg] and
+    compare the return values and all heap bytes from the allocator base
+    (address 64) up. Raises [Invalid_argument] when [cfg.regalloc] is set:
+    spill frames are unobservable program state and would differ between
+    levels. *)

@@ -21,7 +21,7 @@ let test_all_correct () =
         (fun machine ->
           List.iter
             (fun level ->
-              let o = W.run ~size ~machine ~level bench in
+              let o = W.run ~size (Pipeline.config ~level machine) bench in
               match o.error with
               | None -> ()
               | Some e ->
@@ -36,15 +36,11 @@ let test_all_correct () =
 (* The same, under the forced (paper-measurement) configuration: the
    transformation must stay correct even where it is unprofitable. *)
 let test_all_correct_forced () =
-  let coalesce =
-    { Coalesce.default with respect_profitability = false;
-      icache_guard = false }
-  in
   List.iter
     (fun bench ->
       List.iter
         (fun machine ->
-          let o = W.run ~size ~coalesce ~machine ~level:Pipeline.O4 bench in
+          let o = W.run ~size (Tables.paper machine) bench in
           match o.error with
           | None -> ()
           | Some e ->
@@ -59,8 +55,7 @@ let test_misaligned_dispatch () =
   let layout = { W.default_layout with skew = 2 } in
   List.iter
     (fun bench ->
-      let o = W.run ~layout ~size ~machine:Machine.alpha ~level:Pipeline.O4
-          bench in
+      let o = W.run ~layout ~size (Pipeline.config Machine.alpha) bench in
       (match o.error with
       | None -> ()
       | Some e -> Alcotest.failf "%s misaligned: %s" bench.W.name e);
@@ -81,9 +76,9 @@ let test_misaligned_dispatch () =
                       Alcotest.failf
                         "%s: coalesced loop %s ran on misaligned data"
                         bench.W.name l)
-                  o.metrics.label_counts)
+                  o.result.metrics.label_counts)
             reports)
-        o.reports)
+        o.compiled.reports)
     [ W.dotproduct;
       Option.get (W.find "image_add");
       Option.get (W.find "image_add16");
@@ -98,8 +93,10 @@ let test_overlap_dispatch () =
     (fun name ->
       let bench = Option.get (W.find name) in
       let run level =
-        let o = W.run ~layout ~size ~machine:Machine.alpha ~level bench in
-        (o.value, o.metrics.insts)
+        let o =
+          W.run ~layout ~size (Pipeline.config ~level Machine.alpha) bench
+        in
+        (o.result.value, o.result.metrics.insts)
       in
       let v0, _ = run Pipeline.O0 in
       let v4, _ = run Pipeline.O4 in
@@ -116,7 +113,8 @@ let test_gated_never_loses () =
       List.iter
         (fun machine ->
           let cycles level =
-            (W.run ~size ~machine ~level bench).metrics.cycles
+            (W.run ~size (Pipeline.config ~level machine) bench)
+              .result.metrics.cycles
           in
           let o2 = cycles Pipeline.O2 in
           let o4 = cycles Pipeline.O4 in
@@ -134,7 +132,7 @@ let test_gated_never_loses () =
    the measurements used (small size for speed; EXPERIMENTS.md re-runs at
    the paper's 500x500). *)
 let test_paper_shapes () =
-  let rows machine = Tables.table ~size:48 ~machine () in
+  let rows machine = Tables.table ~size:48 (Tables.paper machine) in
   (* Alpha: every benchmark gains from full coalescing *)
   List.iter
     (fun r ->
@@ -175,7 +173,8 @@ let test_paper_shapes () =
 (* eqntott's gain must stay small (the paper: 3.86% on Alpha). *)
 let test_eqntott_small_gain () =
   let r =
-    Tables.row ~size:48 ~machine:Machine.alpha (Option.get (W.find "eqntott"))
+    Tables.row ~size:48 (Tables.paper Machine.alpha)
+      (Option.get (W.find "eqntott"))
   in
   let s = Tables.savings_all r in
   Alcotest.(check bool)
@@ -188,8 +187,11 @@ let test_eqntott_small_gain () =
 let test_memory_reference_reduction () =
   let bench = W.dotproduct in
   let refs level =
-    let o = W.run ~size:256 ~machine:Machine.alpha ~level bench in
-    o.metrics.loads + o.metrics.stores
+    let m =
+      (W.run ~size:256 (Pipeline.config ~level Machine.alpha) bench)
+        .result.metrics
+    in
+    m.loads + m.stores
   in
   let base = refs Pipeline.O2 in
   let coal = refs Pipeline.O4 in

@@ -957,8 +957,7 @@ let test_schedule_pass_preserves_semantics () =
   List.iter
     (fun (b : W.t) ->
       let o =
-        W.run ~size:16 ~schedule:true ~machine:Machine.alpha
-          ~level:Mac_vpo.Pipeline.O4 b
+        W.run ~size:16 (Mac_vpo.Pipeline.config ~schedule:true Machine.alpha) b
       in
       Alcotest.(check (option string)) (b.name ^ " scheduled") None o.error)
     W.all
@@ -967,9 +966,8 @@ let test_schedule_pass_not_slower () =
   let module W = Mac_workloads.Workloads in
   let bench = Option.get (W.find "image_add16") in
   let cycles schedule =
-    (W.run ~size:32 ~schedule ~machine:Machine.alpha
-       ~level:Mac_vpo.Pipeline.O4 bench)
-      .metrics.cycles
+    (W.run ~size:32 (Mac_vpo.Pipeline.config ~schedule Machine.alpha) bench)
+      .result.metrics.cycles
   in
   Alcotest.(check bool) "scheduling does not hurt" true
     (cycles true <= cycles false)
@@ -999,11 +997,9 @@ let test_regalloc_renames_to_machine_set () =
 
 let run_workload_with_regalloc ~num_regs =
   let module W = Mac_workloads.Workloads in
-  let o =
-    W.run ~size:16 ~regalloc:num_regs ~machine:Machine.test32
-      ~level:Mac_vpo.Pipeline.O4 W.dotproduct
-  in
-  o
+  W.run ~size:16
+    (Mac_vpo.Pipeline.config ~regalloc:num_regs Machine.test32)
+    W.dotproduct
 
 let test_regalloc_no_spill_semantics () =
   let o = run_workload_with_regalloc ~num_regs:32 in
@@ -1019,8 +1015,7 @@ let test_regalloc_spills_across_suite () =
   List.iter
     (fun (b : W.t) ->
       let o =
-        W.run ~size:16 ~regalloc:9 ~machine:Machine.test32
-          ~level:Mac_vpo.Pipeline.O4 b
+        W.run ~size:16 (Mac_vpo.Pipeline.config ~regalloc:9 Machine.test32) b
       in
       Alcotest.(check (option string)) (b.name ^ " with 9 regs") None
         o.error)
@@ -1039,14 +1034,12 @@ let test_regalloc_word_spills () =
         (fun (b : W.t) ->
           let what = Printf.sprintf "%s/%s" b.name machine.name in
           let o =
-            W.run ~size:24 ~regalloc:16 ~verify:Mac_vpo.Pipeline.Vfull
-              ~machine ~level:Mac_vpo.Pipeline.O4 b
+            W.run ~size:24
+              (Mac_vpo.Pipeline.config ~regalloc:16
+                 ~verify:Mac_vpo.Pipeline.Vfull machine)
+              b
           in
           Alcotest.(check (option string)) (what ^ " output") None o.error;
-          let cfg =
-            Mac_vpo.Pipeline.config ~level:Mac_vpo.Pipeline.O4 ~regalloc:16
-              ~verify:Mac_vpo.Pipeline.Vfull machine
-          in
           List.iter
             (fun (f : Func.t) ->
               if f.frame_bytes > 0 then incr spilled;
@@ -1066,7 +1059,7 @@ let test_regalloc_word_spills () =
                   | Rtl.Store { dst; _ } -> spill dst
                   | _ -> ())
                 f.body)
-            (Mac_vpo.Pipeline.compile_source cfg b.source).funcs)
+            o.compiled.funcs)
         (W.dotproduct :: W.all);
       Alcotest.(check bool)
         (machine.name ^ ": some program spills")
@@ -1077,14 +1070,14 @@ let test_regalloc_word_spills () =
   List.iter
     (fun (machine : Machine.t) ->
       let o =
-        W.run ~size:16 ~regalloc:8 ~machine ~level:Mac_vpo.Pipeline.O4
+        W.run ~size:16 (Mac_vpo.Pipeline.config ~regalloc:8 machine)
           W.dotproduct
       in
       Alcotest.(check (option string))
         (machine.name ^ " 64-bit value survives spilling")
         None o.error;
       Alcotest.(check bool) "result exceeds 32 bits" true
-        (Int64.compare o.value 0xFFFF_FFFFL > 0))
+        (Int64.compare o.result.value 0xFFFF_FFFFL > 0))
     [ Machine.mc88100; Machine.mc68030 ]
 
 let test_regalloc_too_few () =
@@ -1467,17 +1460,19 @@ let test_pipeline_sched_engines_identical () =
   let outs =
     List.map
       (fun engine ->
-        W.run ~size:64 ~engine ~pipeline_sched:true ~machine:deep32
-          ~level:Mac_vpo.Pipeline.O1 W.dotproduct)
+        W.run ~size:64 ~engine
+          (Mac_vpo.Pipeline.config ~level:Mac_vpo.Pipeline.O1
+             ~pipeline_sched:true deep32)
+          W.dotproduct)
       [ `Reference; `Jit ]
   in
   let r, j = match outs with [ r; j ] -> (r, j) | _ -> assert false in
   List.iter
     (fun (name, (o : W.outcome)) ->
       Alcotest.(check bool) (name ^ " correct") true o.W.correct;
-      Alcotest.(check int64) (name ^ " value") r.W.value o.W.value;
+      Alcotest.(check int64) (name ^ " value") r.result.value o.result.value;
       Alcotest.(check bool) (name ^ " metrics identical") true
-        (o.W.metrics = r.W.metrics))
+        (o.result.metrics = r.result.metrics))
     [ ("reference", r); ("jit", j) ];
   let pipelined =
     List.exists
@@ -1485,7 +1480,7 @@ let test_pipeline_sched_engines_identical () =
         List.exists
           (fun ((rep : Ps.report), _) -> rep.Ps.status = Ps.Pipelined)
           rs)
-      r.W.sched_reports
+      r.compiled.sched_reports
   in
   Alcotest.(check bool) "dotproduct software-pipelined on deep32" true
     pipelined

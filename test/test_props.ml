@@ -198,10 +198,7 @@ let prop_levels_agree machine =
 (* Forced coalescing (no profitability gate, no i-cache guard) must also
    preserve semantics everywhere. *)
 let prop_forced_coalescing_correct machine =
-  let coalesce =
-    { Mac_core.Coalesce.default with respect_profitability = false;
-      icache_guard = false }
-  in
+  let coalesce = Mac_workloads.Tables.forced in
   QCheck.Test.make
     ~name:
       (Printf.sprintf "forced coalescing preserves memory on %s"
@@ -305,10 +302,7 @@ let kernel_facts k =
   { Mac_core.Disambig.aligns; allocs; values = []; nonnegs = [ reg 3 ] }
 
 let prop_elision_invisible machine =
-  let coalesce =
-    { Mac_core.Coalesce.default with respect_profitability = false;
-      icache_guard = false }
-  in
+  let coalesce = Mac_workloads.Tables.forced in
   QCheck.Test.make
     ~name:
       (Printf.sprintf "elided and guarded builds leave identical memory on %s"

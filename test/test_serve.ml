@@ -243,7 +243,9 @@ let test_request_rejects () =
       ("both sources",
        "{\"source\":\"x\",\"bench\":\"image_add\",\"machine\":\"alpha\"}");
       ("bad level",
-       "{\"source\":\"x\",\"machine\":\"alpha\",\"level\":\"O9\"}") ]
+       "{\"source\":\"x\",\"machine\":\"alpha\",\"level\":\"O9\"}");
+      ("retired verify level",
+       "{\"source\":\"x\",\"machine\":\"alpha\",\"verify\":\"ir\"}") ]
 
 (* --- on-disk cache ----------------------------------------------- *)
 

@@ -148,10 +148,7 @@ let test_pipeline_names_failing_pass () =
 
 (* --- layer 2: mutating genuinely coalesced functions ----------------- *)
 
-let forced =
-  { Coalesce.default with
-    respect_profitability = false;
-    icache_guard = false }
+let forced = Mac_workloads.Tables.forced
 
 (* Lower + classic opts + the coalescer itself — the audit's contract is
    to run on the coalesce pass's direct output, before legalization. *)
@@ -282,8 +279,9 @@ let test_differential machine () =
   List.iter
     (fun (b : W.t) ->
       let d =
-        W.differential ~size:24 ~verify:Pipeline.Vfull ~machine
-          ~level:Pipeline.O4 b
+        W.differential ~size:24
+          (Pipeline.config ~verify:Pipeline.Vfull machine)
+          b
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s: O0 vs O4 agree%s" b.W.name
@@ -298,7 +296,7 @@ let test_differential machine () =
           Alcotest.(check bool)
             (Printf.sprintf "%s: no verifier errors" b.W.name)
             false (Diagnostic.has_errors ds))
-        d.W.opt.W.diags)
+        d.W.opt.compiled.diags)
     (W.dotproduct :: W.all)
 
 (* A pass that mutates the function but declares a [preserves] set that
@@ -489,12 +487,14 @@ let test_tvalid_grid_clean () =
                   (Pipeline.level_to_string level)
               in
               let o =
-                W.run_exn ~size:16 ~coalesce:forced ~assume_layout:true
-                  ~verify:Pipeline.Vfull ~machine ~level b
+                W.run_exn ~size:16 ~assume_layout:true
+                  (Pipeline.config ~level ~coalesce:forced
+                     ~verify:Pipeline.Vfull machine)
+                  b
               in
               Alcotest.(check bool)
                 (name ^ ": validator ran") true
-                (o.W.tvalid_stats <> []))
+                (o.compiled.tvalid_stats <> []))
             W.all)
         [ Pipeline.O2; Pipeline.O3; Pipeline.O4 ])
     [ Machine.alpha; Machine.mc88100; Machine.mc68030 ]
@@ -540,20 +540,16 @@ let test_combine_validations_see_changes () =
    skipped. *)
 let test_tvalid_spilling_fallback () =
   let o =
-    W.run_exn ~size:16 ~regalloc:8 ~verify:Pipeline.Vfull
-      ~machine:Machine.alpha ~level:Pipeline.O4 W.dotproduct
+    W.run_exn ~size:16
+      (Pipeline.config ~regalloc:8 ~verify:Pipeline.Vfull Machine.alpha)
+      W.dotproduct
   in
-  (match List.assoc_opt "regalloc" o.W.tvalid_stats with
+  (match List.assoc_opt "regalloc" o.compiled.tvalid_stats with
   | Some a ->
     Alcotest.(check bool)
       "regalloc recorded as fallback" true (a.Tvalid.fallbacks > 0)
   | None -> Alcotest.fail "no regalloc entry in tvalid stats");
-  let cfg =
-    Pipeline.config ~level:Pipeline.O4 ~regalloc:8 ~verify:Pipeline.Vfull
-      Machine.alpha
-  in
-  let c = Pipeline.compile_source cfg W.dotproduct_src in
-  let f = List.hd c.Pipeline.funcs in
+  let f = List.hd o.compiled.funcs in
   Alcotest.(check bool)
     "pressure actually forced a frame pointer" true (f.Func.fp_reg <> None)
 
@@ -566,8 +562,10 @@ let deep32 =
    continuation. *)
 let test_tvalid_pipeline_sched_regions () =
   let o =
-    W.run_exn ~size:64 ~pipeline_sched:true ~verify:Pipeline.Vfull
-      ~machine:deep32 ~level:Pipeline.O1 W.dotproduct
+    W.run_exn ~size:64
+      (Pipeline.config ~level:Pipeline.O1 ~pipeline_sched:true
+         ~verify:Pipeline.Vfull deep32)
+      W.dotproduct
   in
   let pipelined =
     List.exists
@@ -575,11 +573,11 @@ let test_tvalid_pipeline_sched_regions () =
         List.exists
           (fun ((rep : Ps.report), _) -> rep.Ps.status = Ps.Pipelined)
           rs)
-      o.W.sched_reports
+      o.compiled.sched_reports
   in
   Alcotest.(check bool) "dotproduct software-pipelined on deep32" true
     pipelined;
-  match List.assoc_opt "pipeline-sched" o.W.tvalid_stats with
+  match List.assoc_opt "pipeline-sched" o.compiled.tvalid_stats with
   | Some a ->
     Alcotest.(check bool)
       "pipelined loop carved as a region cut-point" true
@@ -605,8 +603,10 @@ let captured_snapshots =
                   Tvalid.snapshot new_f)
                  :: !snaps);
        ignore
-         (W.run_exn ~size:16 ~coalesce:forced ~assume_layout:true
-            ~verify:Pipeline.Vfull ~machine ~level b)
+         (W.run_exn ~size:16 ~assume_layout:true
+            (Pipeline.config ~level ~coalesce:forced ~verify:Pipeline.Vfull
+               machine)
+            b)
      in
      Fun.protect
        ~finally:(fun () -> Pipeline.test_observe := None)

@@ -78,10 +78,8 @@ let test_determinism () =
   List.iter
     (fun (b : W.t) ->
       let run () =
-        let o =
-          W.run ~size:16 ~machine:Machine.alpha ~level:Pipeline.O4 b
-        in
-        (o.value, o.metrics.cycles, o.metrics.insts)
+        let r = (W.run ~size:16 (Pipeline.config Machine.alpha) b).result in
+        (r.value, r.metrics.cycles, r.metrics.insts)
       in
       let a = run () and b' = run () in
       Alcotest.(check bool) (b.name ^ " deterministic") true (a = b'))
@@ -134,20 +132,24 @@ let test_failure_reported () =
         Mac_workloads.Workloads.image_binop_src "image_add" "-"
         (* wrong operator *) }
   in
-  let o = W.run ~size:16 ~machine:Machine.test32 ~level:Pipeline.O1 broken in
+  let o =
+    W.run ~size:16 (Pipeline.config ~level:Pipeline.O1 Machine.test32) broken
+  in
   Alcotest.(check bool) "mismatch detected" true (o.error <> None)
 
 let test_eqntott_reference_value () =
   (* the kernel's return value equals the reference inversion count *)
   let o =
-    W.run ~size:16 ~machine:Machine.test32 ~level:Pipeline.O0
+    W.run ~size:16
+      (Pipeline.config ~level:Pipeline.O0 Machine.test32)
       (Option.get (W.find "eqntott"))
   in
   Alcotest.(check bool) "verified" true o.correct
 
 let test_tables_row () =
   let r =
-    Tables.row ~size:24 ~machine:Machine.alpha (Option.get (W.find "mirror"))
+    Tables.row ~size:24 (Tables.paper Machine.alpha)
+      (Option.get (W.find "mirror"))
   in
   Alcotest.(check bool) "verified" true r.verified;
   Alcotest.(check bool) "savings formula" true
@@ -161,33 +163,108 @@ let test_tables_row () =
 let test_tables_gated_vs_forced () =
   (* forced coalescing on the 68030 must lose; the gated row must not *)
   let bench = Option.get (W.find "image_add") in
-  let forced =
-    Tables.row ~size:24 ~respect_profitability:false ~machine:Machine.mc68030
-      bench
-  in
-  let gated =
-    Tables.row ~size:24 ~respect_profitability:true ~machine:Machine.mc68030
-      bench
-  in
+  let forced = Tables.row ~size:24 (Tables.paper Machine.mc68030) bench in
+  let gated = Tables.row ~size:24 (Pipeline.config Machine.mc68030) bench in
   Alcotest.(check bool) "forced loses" true (Tables.savings_all forced < 0.0);
   Alcotest.(check bool) "gated at least breaks even" true
     (Tables.savings_all gated >= 0.0)
 
+(* --- one config from the caller to every cell -------------------------- *)
+
+(* A non-default config on mc88100: every table cell is exactly the run
+   of that config at the cell's level, and the -Osched pass the config
+   asks for shows in the image_add16 O4 cell. *)
+let sched_cfg =
+  Pipeline.config ~strength_reduce:true ~schedule:true ~pipeline_sched:true
+    ~coalesce:
+      { Mac_core.Coalesce.default with
+        profit_mode = Mac_core.Profitability.Pipelined }
+    Machine.mc88100
+
+let test_table_honours_config () =
+  let rows = Tables.table ~size:24 sched_cfg in
+  List.iter
+    (fun (r : Tables.row) ->
+      List.iter
+        (fun (level, (o : W.outcome)) ->
+          let direct = W.run ~size:24 { sched_cfg with level } r.bench in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s cell = run" r.bench.name
+               (Pipeline.level_to_string level))
+            true
+            (o.result.metrics = direct.result.metrics))
+        r.outcomes)
+    rows;
+  let o4 rows =
+    (List.find
+       (fun (r : Tables.row) -> String.equal r.bench.name "image_add16")
+       rows)
+      .loads_stores
+  in
+  let unscheduled =
+    Tables.table ~size:24 { sched_cfg with pipeline_sched = false }
+  in
+  Alcotest.(check bool) "image_add16 O4 moves with pipeline_sched" true
+    (o4 rows <> o4 unscheduled)
+
+(* The estimate prices the program the simulation runs: identical RTL for
+   a -Osched config, and a software-pipelined loop is either priced
+   exactly or flagged approximate. *)
+let test_estimate_prices_run () =
+  let pipelined = ref 0 in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun (b : W.t) ->
+          let cfg = Pipeline.config ~pipeline_sched:true machine in
+          let what = b.name ^ "/" ^ machine.Machine.name in
+          let p = W.estimate ~size:24 ~assume_layout:true cfg b in
+          let o = W.run ~size:24 ~assume_layout:true cfg b in
+          let rtl (c : Pipeline.compiled) =
+            List.map (Fmt.str "%a" Mac_rtl.Func.pp) c.funcs
+          in
+          Alcotest.(check (list string)) (what ^ " same RTL")
+            (rtl o.compiled) (rtl p.compiled);
+          let kernels =
+            List.exists
+              (fun (_, rs) ->
+                List.exists
+                  (fun ((r : Mac_opt.Pipeline_sched.report), _) ->
+                    r.status = Mac_opt.Pipeline_sched.Pipelined)
+                  rs)
+              o.compiled.sched_reports
+          in
+          if kernels then begin
+            incr pipelined;
+            Alcotest.(check bool) (what ^ " pipelined kernel not passed off")
+              true
+              (p.summary.s_approx
+              || p.summary.s_cycles = o.result.metrics.cycles)
+          end)
+        (W.dotproduct :: W.all))
+    Machine.all;
+  Alcotest.(check bool) "some loop was software-pipelined" true
+    (!pipelined > 0)
+
+let test_differential_rejects_regalloc () =
+  match
+    W.differential ~size:16
+      (Pipeline.config ~regalloc:16 Machine.alpha)
+      W.dotproduct
+  with
+  | _ -> Alcotest.fail "differential accepted a regalloc config"
+  | exception Invalid_argument _ -> ()
+
 (* --- static disambiguation ------------------------------------------- *)
 
-let forced_coalesce =
-  { Mac_core.Coalesce.default with
-    respect_profitability = false;
-    icache_guard = false }
-
 let guard_counts (o : W.outcome) =
-  List.fold_left
-    (fun acc (_, rs) ->
-      List.fold_left
-        (fun (em, el) (r : Mac_core.Coalesce.loop_report) ->
-          (em + r.guards_emitted, el + r.guards_elided))
-        acc rs)
-    (0, 0) o.reports
+  (o.compiled.guards_emitted, o.compiled.guards_elided)
+
+(* The Table II configuration with its guards forced or not. *)
+let forced_guards ?(verify = Pipeline.Vnone) ~force_guards machine =
+  { (Tables.paper machine) with
+    coalesce = { Tables.forced with force_guards };
+    verify }
 
 (* The acceptance bar: on the Table II configuration at O4 with the
    layout facts asserted, at least one guard is statically discharged,
@@ -195,8 +272,8 @@ let guard_counts (o : W.outcome) =
    otherwise), and the output still verifies. *)
 let test_elision_on_table2 () =
   let o =
-    W.run ~size:24 ~coalesce:forced_coalesce ~assume_layout:true
-      ~verify:Pipeline.Vfull ~machine:Machine.alpha ~level:Pipeline.O4
+    W.run ~size:24 ~assume_layout:true
+      (forced_guards ~verify:Pipeline.Vfull ~force_guards:false Machine.alpha)
       (Option.get (W.find "image_add"))
   in
   let emitted, elided = guard_counts o in
@@ -206,9 +283,8 @@ let test_elision_on_table2 () =
 
 let test_force_guards_overrides () =
   let o =
-    W.run ~size:24 ~coalesce:forced_coalesce ~assume_layout:true
-      ~force_guards:true ~verify:Pipeline.Vfull ~machine:Machine.alpha
-      ~level:Pipeline.O4
+    W.run ~size:24 ~assume_layout:true
+      (forced_guards ~verify:Pipeline.Vfull ~force_guards:true Machine.alpha)
       (Option.get (W.find "image_add"))
   in
   let emitted, elided = guard_counts o in
@@ -225,20 +301,21 @@ let test_elided_matches_forced () =
       List.iter
         (fun (b : W.t) ->
           let run force_guards =
-            W.run ~size:24 ~coalesce:forced_coalesce ~assume_layout:true
-              ~force_guards ~machine ~level:Pipeline.O4 b
+            W.run ~size:24 ~assume_layout:true
+              (forced_guards ~force_guards machine)
+              b
           in
           let elided = run false and guarded = run true in
           Alcotest.(check bool) (b.name ^ " elided correct") true
             elided.correct;
           Alcotest.(check bool) (b.name ^ " guarded correct") true
             guarded.correct;
-          Alcotest.(check int64) (b.name ^ " same value") guarded.value
-            elided.value;
+          Alcotest.(check int64) (b.name ^ " same value")
+            guarded.result.value elided.result.value;
           Alcotest.(check bool)
             (b.name ^ " elision never adds instructions")
             true
-            (elided.metrics.insts <= guarded.metrics.insts))
+            (elided.result.metrics.insts <= guarded.result.metrics.insts))
         W.all)
     Machine.all
 
@@ -277,6 +354,15 @@ let () =
           Alcotest.test_case "row" `Quick test_tables_row;
           Alcotest.test_case "gated vs forced" `Quick
             test_tables_gated_vs_forced;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "tables honour the config" `Quick
+            test_table_honours_config;
+          Alcotest.test_case "estimate and run compile the same program"
+            `Quick test_estimate_prices_run;
+          Alcotest.test_case "differential rejects regalloc" `Quick
+            test_differential_rejects_regalloc;
         ] );
       ( "disambiguation",
         [
